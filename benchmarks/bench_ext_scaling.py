@@ -137,8 +137,7 @@ with build_watch:
         snapshot, landmarks, [topic], web_sim, params=params,
         landmark_params=landmark_params, engine="dict")
 
-recommender = ApproximateRecommender(snapshot, web_sim, index,
-                                     query_engine="dict")
+recommender = ApproximateRecommender(snapshot, web_sim, index)
 excluded = set(landmarks)
 queries = [q for q in range(0, snapshot.num_nodes,
                             max(snapshot.num_nodes // 200, 1))

@@ -11,7 +11,7 @@ project-scoped rules:
   ``[layers]``; function-scoped/TYPE_CHECKING imports may additionally
   use ``[deferred]`` edges, the sanctioned cycle-breaking idiom).
 - **W2 dropped-parameter flow** — a function that accepts a watched
-  flag (``allow_stale``/``engine``/``query_engine``) and calls a
+  flag (``allow_stale``/``engine``) and calls a
   callee that also accepts it must forward it. Exactly the PR 6 bug:
   a per-call ``allow_stale=False`` silently swallowed across a
   constructor boundary.
@@ -528,7 +528,7 @@ class LayeringRule(ProjectRule):
 #: Flags whose silent loss across a call boundary has already shipped
 #: a bug (PR 6's allow_stale) or would change which engine serves a
 #: query without any error.
-WATCHED_FLAGS: Tuple[str, ...] = ("allow_stale", "engine", "query_engine")
+WATCHED_FLAGS: Tuple[str, ...] = ("allow_stale", "engine")
 
 
 @register_project
@@ -538,8 +538,8 @@ class DroppedParameterFlow(ProjectRule):
     id = "W2"
     name = "dropped-parameter-flow"
     description = (
-        "a function that accepts a watched flag (allow_stale / engine / "
-        "query_engine) and calls a callee that also accepts it must "
+        "a function that accepts a watched flag (allow_stale / engine) "
+        "and calls a callee that also accepts it must "
         "forward it — the PR 6 bug class, where a per-call "
         "allow_stale=False was silently swallowed at a constructor "
         "boundary. Pass the flag through (or suppress with a "
@@ -618,16 +618,11 @@ EXCEPTION_CONTRACTS: Mapping[str, Tuple[str, ...]] = {
         ("StaleSnapshotError",),
     "repro.distributed.sharded.ShardedPlatform._check_epochs":
         ("StaleSnapshotError",),
-    # Constructor/topology validation on the sharded tier: routing a
-    # node that no shard owns, or asking a worker about a node outside
-    # its range, is a deployment misconfiguration the caller must see.
-    "repro.distributed.cluster.distributed_single_source_scores":
-        ("ConfigurationError",),
+    # Constructor/topology validation on the sharded tier: routing to a
+    # shard that owns no nodes, or asking a worker for a landmark list
+    # homed elsewhere, is a deployment misconfiguration the caller
+    # must see.
     "repro.distributed.sharded.ShardRouter.route":
-        ("ConfigurationError",),
-    "repro.distributed.sharded.ShardWorker.out_neighbors":
-        ("ConfigurationError",),
-    "repro.distributed.sharded.ShardWorker.landmark_entries":
         ("ConfigurationError",),
     "repro.distributed.sharded.ShardWorker.landmark_vectors":
         ("ConfigurationError",),

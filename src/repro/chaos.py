@@ -12,9 +12,10 @@ the tier's three invariants:
    client, in any cell, rollover or not.
 2. **Determinism** — the full response stream (rankings, degradation
    flags, served epochs) is bitwise-identical when the same seeded
-   cell runs twice, and identical between the ``dict`` and ``sparse``
-   query engines. A ranking digest (SHA-256 over the exact float
-   reprs) makes "bitwise" checkable across processes.
+   cell runs twice. A ranking digest (SHA-256 over the exact float
+   reprs) makes "bitwise" checkable across processes; the closing
+   wave is also checked bitwise against the single-process scorer
+   (parity).
 3. **Redundancy pays** — with ``replicas >= 2`` a single injected
    replica failure must not degrade any response; with ``replicas=1``
    degradation is expected and must itself be deterministic.
@@ -107,7 +108,6 @@ class CellVerdict:
     spec: CellSpec
     digest: str
     deterministic: bool
-    engines_agree: bool
     stale_errors: int
     responses: int
     degraded_responses: int
@@ -126,7 +126,6 @@ class CellVerdict:
             "seed": self.spec.seed,
             "digest": self.digest,
             "deterministic": self.deterministic,
-            "engines_agree": self.engines_agree,
             "stale_errors": self.stale_errors,
             "responses": self.responses,
             "degraded_responses": self.degraded_responses,
@@ -157,7 +156,7 @@ def _digest(transcript: Sequence[object]) -> str:
     return hashlib.sha256(repr(list(transcript)).encode()).hexdigest()
 
 
-def _run_stream(spec: CellSpec, engine: str) -> _StreamResult:
+def _run_stream(spec: CellSpec) -> _StreamResult:
     """Execute the scripted request stream for one cell, once.
 
     The script is fixed per failure mode and fully seeded: world
@@ -173,7 +172,7 @@ def _run_stream(spec: CellSpec, engine: str) -> _StreamResult:
         landmark_params=LandmarkParams(num_landmarks=10, top_n=60))
     platform = ShardedPlatform.build(
         graph, similarity, index, 3, replicas=spec.replicas,
-        params=_PARAMS, deadline_ms=10_000.0, query_engine=engine,
+        params=_PARAMS, deadline_ms=10_000.0,
         channel=ShardChannel(seed=spec.seed))
     users = [n for n in sorted(graph.nodes())
              if graph.out_degree(n) >= 3
@@ -294,16 +293,13 @@ def _parity_ok(result: _StreamResult) -> bool:
 
 
 def run_cell(spec: CellSpec) -> CellVerdict:
-    """Run one matrix cell twice plus an engine cross-check; verdict."""
-    first = _run_stream(spec, "dict")
-    second = _run_stream(spec, "dict")
-    sparse = _run_stream(spec, "sparse")
+    """Run one matrix cell twice, check parity; verdict."""
+    first = _run_stream(spec)
+    second = _run_stream(spec)
 
     digest = _digest(first.transcript)
     deterministic = digest == _digest(second.transcript)
-    engines_agree = digest == _digest(sparse.transcript)
-    stale_errors = first.stale_errors + second.stale_errors \
-        + sparse.stale_errors
+    stale_errors = first.stale_errors + second.stale_errors
     parity = _parity_ok(first)
 
     reasons: List[str] = []
@@ -313,8 +309,6 @@ def run_cell(spec: CellSpec) -> CellVerdict:
     if not deterministic:
         reasons.append("ranking stream differs between identical seeded "
                        "runs")
-    if not engines_agree:
-        reasons.append("dict and sparse query engines disagree")
     if not parity:
         reasons.append("post-failure wave lost bitwise parity with the "
                        "single-process scorer")
@@ -330,7 +324,6 @@ def run_cell(spec: CellSpec) -> CellVerdict:
         spec=spec,
         digest=digest,
         deterministic=deterministic,
-        engines_agree=engines_agree,
         stale_errors=stale_errors,
         responses=len(first.transcript),
         degraded_responses=first.degraded,
@@ -355,16 +348,15 @@ def render_markdown(verdicts: Sequence[CellVerdict]) -> str:
     lines = [
         "### Chaos matrix",
         "",
-        "| cell | det | engines | stale | degraded | hedges (won) "
-        "| parity | verdict |",
-        "| --- | --- | --- | --- | --- | --- | --- | --- |",
+        "| cell | det | stale | degraded | hedges (won) | parity "
+        "| verdict |",
+        "| --- | --- | --- | --- | --- | --- | --- |",
     ]
     for verdict in verdicts:
         mark = "✅" if verdict.passed else "❌"
         lines.append(
             f"| `{verdict.spec.name}` "
             f"| {'yes' if verdict.deterministic else 'NO'} "
-            f"| {'agree' if verdict.engines_agree else 'DISAGREE'} "
             f"| {verdict.stale_errors} "
             f"| {verdict.degraded_responses} "
             f"| {verdict.hedges_sent} ({verdict.hedges_won}) "

@@ -8,9 +8,10 @@ transfer costs." This subpackage implements that simulation:
 
 - graph partitioners — hash, connectivity-aware greedy (LDG), and
   topic-based — with edge-cut and balance metrics (:mod:`partition`);
-- a Pregel-style superstep engine that computes *bit-identical* Tr
-  scores while accounting for every cross-partition message
-  (:mod:`cluster`);
+- Pregel-style message accounting over the package's one depth-k
+  kernel (:class:`~repro.landmarks.query_engine.QueryEngine`): the
+  same bit-identical exploration, with every cross-partition message
+  counted from the rounds' edge arrays (:mod:`cluster`);
 - a distributed landmark service where remote landmark lookups cost
   transfer units, so landmark placement strategies can be compared
   (:mod:`recommend`);
@@ -27,6 +28,7 @@ from .partition import (
     edge_cut_fraction,
     greedy_partition,
     hash_partition,
+    partition_array,
     partition_metrics,
     range_partition,
     topic_partition,
@@ -52,6 +54,7 @@ __all__ = [
     "edge_cut_fraction",
     "balance",
     "partition_metrics",
+    "partition_array",
     "PartitionMetrics",
     "distributed_single_source_scores",
     "MessageStats",

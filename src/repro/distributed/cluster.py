@@ -8,206 +8,59 @@ to the *same* remote neighbour within one superstep are combined before
 shipping (Pregel's combiner optimisation), and per-topic payloads ride
 in the same message as the topological mass.
 
-The engine produces scores *bit-identical* to
-:func:`repro.core.exact.single_source_scores` — asserted by the test
-suite — while counting the messages a real deployment would pay, which
-is exactly the cost model the paper's future-work paragraph says a
-distributed design must minimise.
+The walk itself is :meth:`~repro.landmarks.query_engine.QueryEngine.explore`
+— the package's one depth-k kernel — run with a per-position partition
+array, so each round's gathered ``(walker, neighbour)`` edges are also
+counted into :class:`~repro.landmarks.query_engine.MessageStats`. The
+scores are therefore the single-machine engine's, bit for bit, and the
+message counts are exactly what a real deployment would pay — the cost
+model the paper's future-work paragraph says a distributed design must
+minimise.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Optional, Tuple, Union
 
-from ..config import ScoreParams
-from ..core.exact import ScoreState, _MaxSimCache
-from ..core.scores import AuthorityIndex
-from ..errors import ConfigurationError
-from ..graph.labeled_graph import TopicSet
-from ..semantics.matrix import SimilarityMatrix
-from .partition import Assignment
+import numpy as np
 
+from ..landmarks.query_engine import (DenseExploration, MessageStats,
+                                      QueryEngine)
 
-class SupportsOutNeighbors(Protocol):  # repro: ignore[W4] -- typing protocol: names the graph capability distributed_single_source_scores requires, so sharded's replica-routing view type-checks as a valid host
-    """The one graph capability the superstep engine actually reads.
-
-    Satisfied by :class:`~repro.graph.labeled_graph.LabeledSocialGraph`
-    and :class:`~repro.graph.snapshot.GraphSnapshot` directly, and by
-    the sharded tier's replica-routing view — the engine never needs
-    more than each walker's labelled out-row, so any facade that can
-    produce rows (from local storage or from the owning replica) can
-    host a propagation.
-    """
-
-    def out_neighbors(self, node: int) -> Mapping[int, TopicSet]:
-        """Labelled out-edges of *node*."""
-        ...  # pragma: no cover - protocol body
-
-
-@dataclass
-class MessageStats:
-    """Network accounting of one distributed propagation.
-
-    Attributes:
-        supersteps: Propagation rounds executed.
-        local_transfers: Value transfers between co-located nodes.
-        remote_messages: Combined messages that crossed partitions
-            (one per (superstep, receiving node) with a remote sender
-            aggregate — the Pregel combiner model).
-        remote_values: Raw values that crossed partitions before
-            combining (what a combiner-less system would send).
-        per_link: messages per directed partition pair.
-    """
-
-    supersteps: int = 0
-    local_transfers: int = 0
-    remote_messages: int = 0
-    remote_values: int = 0
-    per_link: Dict[Tuple[int, int], int] = field(default_factory=dict)
-
-    @property
-    def remote_fraction(self) -> float:
-        """Share of value transfers that crossed partitions."""
-        total = self.local_transfers + self.remote_values
-        if total == 0:
-            return 0.0
-        return self.remote_values / total
+__all__ = ["MessageStats", "distributed_single_source_scores"]
 
 
 def distributed_single_source_scores(
-    graph: SupportsOutNeighbors,
-    assignment: Assignment,
+    engine: QueryEngine,
+    partition: np.ndarray,
     source: int,
-    topics: Sequence[str],
-    similarity: SimilarityMatrix,
-    authority: Optional[AuthorityIndex] = None,
-    params: ScoreParams = ScoreParams(),
+    topic: str,
     max_depth: Optional[int] = None,
-    absorbing: Optional[frozenset] = None,
-) -> Tuple[ScoreState, MessageStats]:
+    absorbing: Union[None, frozenset, np.ndarray] = None,
+) -> Tuple[DenseExploration, MessageStats]:
     """Prop.-1 propagation with per-partition message accounting.
 
     Args:
-        graph: The (logically partitioned) follow graph.
-        assignment: node → partition id. Every node must be assigned.
+        engine: Query engine pinned to the (logically partitioned)
+            snapshot.
+        partition: Partition id per dense snapshot position — build it
+            with :func:`~repro.distributed.partition.partition_array`,
+            which refuses unassigned nodes.
         source: Query node.
-        topics: Topics to score (empty = pure topology).
-        similarity: Topic-similarity matrix.
-        authority: Shared authority cache.
-        params: Decay/convergence parameters.
-        max_depth: Walk-length cap (``None`` = to convergence).
+        topic: Topic to score.
+        max_depth: Walk-length cap (``None`` = ``params.max_iter``, i.e.
+            to convergence).
         absorbing: Nodes whose mass is not propagated further (the
-            landmark pruning of Algorithm 2), as in the single-machine
-            engine.
+            landmark pruning of Algorithm 2) — a node-id set or a
+            boolean mask over dense positions.
 
     Returns:
-        ``(state, stats)`` where *state* matches the single-machine
-        engine exactly and *stats* records the message traffic.
-
-    Raises:
-        ConfigurationError: if the source node is unassigned.
+        ``(exploration, stats)`` where *exploration* matches the
+        single-machine engine exactly and *stats* records the message
+        traffic.
     """
-    if source not in assignment:
-        raise ConfigurationError(f"node {source} has no partition")
-    if authority is None:
-        authority = AuthorityIndex(graph)
-    cache = _MaxSimCache(similarity)
-    beta = params.beta
-    alphabeta = params.edge_decay
-    edge_factor = params.beta * params.alpha
-
-    cumulative_scores = {topic: {} for topic in topics}
-    cumulative_tb: Dict[int, float] = {source: 1.0}
-    cumulative_tab: Dict[int, float] = {source: 1.0}
-    frontier_r: Dict[str, Dict[int, float]] = {topic: {} for topic in topics}
-    frontier_tb: Dict[int, float] = {source: 1.0}
-    frontier_tab: Dict[int, float] = {source: 1.0}
-
-    stats = MessageStats()
-    limit = params.max_iter if max_depth is None else max_depth
-    converged = False
-
-    for _ in range(limit):
-        next_r: Dict[str, Dict[int, float]] = {topic: {} for topic in topics}
-        next_tb: Dict[int, float] = {}
-        next_tab: Dict[int, float] = {}
-        # (receiver, sender_partition) pairs that crossed partitions
-        # this superstep — one combined message each.
-        combined_remote: set = set()
-        touched = set(frontier_tb)
-        for topic in topics:
-            touched.update(frontier_r[topic])
-        if absorbing:
-            touched = {
-                walker for walker in touched
-                if walker == source or walker not in absorbing
-            }
-        if not touched:
-            converged = True
-            break
-        for walker in sorted(touched):
-            walker_part = assignment[walker]
-            tb_mass = frontier_tb.get(walker, 0.0)
-            tab_mass = frontier_tab.get(walker, 0.0)
-            r_masses = [frontier_r[topic].get(walker, 0.0)
-                        for topic in topics]
-            for neighbor, label in sorted(graph.out_neighbors(walker).items()):
-                neighbor_part = assignment[neighbor]
-                if neighbor_part == walker_part:
-                    stats.local_transfers += 1
-                else:
-                    stats.remote_values += 1
-                    combined_remote.add(
-                        (neighbor, walker_part, neighbor_part))
-                if tb_mass:
-                    next_tb[neighbor] = (
-                        next_tb.get(neighbor, 0.0) + beta * tb_mass)
-                if tab_mass:
-                    next_tab[neighbor] = (
-                        next_tab.get(neighbor, 0.0) + alphabeta * tab_mass)
-                for topic, r_mass in zip(topics, r_masses):
-                    increment = beta * r_mass
-                    if tab_mass and label:
-                        best = cache.max_similarity(label, topic)
-                        if best:
-                            auth_value = authority.auth(neighbor, topic)
-                            if auth_value:
-                                increment += (tab_mass * edge_factor
-                                              * best * auth_value)
-                    if increment:
-                        bucket = next_r[topic]
-                        bucket[neighbor] = (
-                            bucket.get(neighbor, 0.0) + increment)
-        stats.supersteps += 1
-        stats.remote_messages += len(combined_remote)
-        for _, sender_part, receiver_part in sorted(combined_remote):
-            link = (sender_part, receiver_part)
-            stats.per_link[link] = stats.per_link.get(link, 0) + 1
-
-        new_mass = math.fsum(
-            math.fsum(bucket.values()) for bucket in next_r.values())
-        new_mass += math.fsum(next_tb.values())
-        for node, value in sorted(next_tb.items()):
-            cumulative_tb[node] = cumulative_tb.get(node, 0.0) + value
-        for node, value in sorted(next_tab.items()):
-            cumulative_tab[node] = cumulative_tab.get(node, 0.0) + value
-        for topic in topics:
-            bucket = cumulative_scores[topic]
-            for node, value in sorted(next_r[topic].items()):
-                bucket[node] = bucket.get(node, 0.0) + value
-        frontier_r, frontier_tb, frontier_tab = next_r, next_tb, next_tab
-        if new_mass < params.tolerance:
-            converged = True
-            break
-
-    state = ScoreState(
-        source=source,
-        scores=cumulative_scores,
-        topo_beta=cumulative_tb,
-        topo_alphabeta=cumulative_tab,
-        iterations=stats.supersteps,
-        converged=converged,
-    )
-    return state, stats
+    depth = engine.params.max_iter if max_depth is None else max_depth
+    exploration = engine.explore(source, topic, depth, absorbing=absorbing,
+                                 partition=partition)
+    assert exploration.messages is not None  # partition was passed
+    return exploration, exploration.messages

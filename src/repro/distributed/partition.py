@@ -25,7 +25,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Mapping
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..graph.snapshot import GraphLike, GraphSnapshot, as_snapshot
@@ -75,6 +77,31 @@ def range_partition(graph: GraphLike, num_parts: int) -> Assignment:
         node: min(position * num_parts // n, num_parts - 1)
         for position, node in enumerate(view.node_ids)
     }
+
+
+def partition_array(snapshot: GraphSnapshot,
+                    assignment: Mapping[int, int]) -> np.ndarray:
+    """Partition id per dense position of *snapshot*.
+
+    The array form the message accounting of
+    :func:`~repro.distributed.cluster.distributed_single_source_scores`
+    reads. Built (and validated) once per snapshot, so an incomplete
+    assignment fails here instead of mid-query.
+
+    Raises:
+        ConfigurationError: a node of the snapshot is unassigned, or
+            assigned to something other than a non-negative int.
+    """
+    parts = np.empty(snapshot.num_nodes, dtype=np.int64)
+    for position, node in enumerate(snapshot.node_ids):
+        part = assignment.get(node)
+        if (not isinstance(part, (int, np.integer))
+                or isinstance(part, bool) or part < 0):
+            raise ConfigurationError(
+                f"node {node} has no valid partition (got {part!r}): "
+                f"every node must be assigned to a non-negative int")
+        parts[position] = part
+    return parts
 
 
 def greedy_partition(graph: GraphLike, num_parts: int,

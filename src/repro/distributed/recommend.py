@@ -13,20 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..api import (RecommendationRequest, RecommendationResponse,
                    response_from_pairs)
 from ..config import LandmarkParams, ScoreParams
 from ..core.scores import AuthorityIndex
-from ..graph.labeled_graph import LabeledSocialGraph
 from ..graph.snapshot import GraphLike, GraphSnapshot, as_snapshot
 from ..landmarks.index import LandmarkIndex
 from ..landmarks.query_engine import (LandmarkVectorCache, LandmarkVectors,
+                                      MessageStats, QueryEngine,
                                       compose_landmark_contributions,
-                                      resolve_query_engine,
                                       vectors_from_entries)
 from ..semantics.matrix import SimilarityMatrix
-from .cluster import MessageStats, distributed_single_source_scores
-from .partition import Assignment
+from .cluster import distributed_single_source_scores
+from .partition import Assignment, partition_array
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,6 @@ class DistributedLandmarkService:
         params: Optional[ScoreParams] = None,
         landmark_params: Optional[LandmarkParams] = None,
         authority: Optional[AuthorityIndex] = None,
-        query_engine: str = "auto",
     ) -> None:
         self.graph = graph
         self.assignment = assignment
@@ -86,14 +86,25 @@ class DistributedLandmarkService:
         # resulting tie-sensitive rankings — deterministic across
         # processes, matching ApproximateRecommender.
         self._sorted_landmarks = sorted(self._landmark_set)
-        #: Composition engine ("dict" reference loop or "sparse"
-        #: scatter-add); answers and cost accounting are identical.
-        self.query_engine = resolve_query_engine(query_engine)
         self._vector_cache = LandmarkVectorCache()
+        # (engine, per-position partition ids) pinned to one snapshot;
+        # rebuilt when a live graph moves to a new epoch.
+        self._pinned: Optional[Tuple[QueryEngine, np.ndarray]] = None
 
     def landmark_home(self, landmark: int) -> int:
         """Partition that stores a landmark's inverted lists."""
         return self.assignment[landmark]
+
+    def _pinned_to(self, view: GraphSnapshot
+                   ) -> Tuple[QueryEngine, np.ndarray]:
+        """Engine and validated partition array for *view*."""
+        pinned = self._pinned
+        if pinned is None or pinned[0].snapshot is not view:
+            pinned = (QueryEngine(view, self._similarity, self.params,
+                                  authority=self._authority),
+                      partition_array(view, self.assignment))
+            self._pinned = pinned
+        return pinned
 
     def _vectors_for(self, view: GraphSnapshot, landmark: int,
                      topic: str) -> LandmarkVectors:
@@ -115,59 +126,43 @@ class DistributedLandmarkService:
         An explicit ``depth=0`` runs zero exploration rounds
         (landmark-list composition only), mirroring
         :meth:`repro.landmarks.ApproximateRecommender.query`.
+
+        Raises:
+            ConfigurationError: the assignment leaves a node of the
+                graph unassigned (checked once per snapshot).
         """
         exploration_depth = (depth if depth is not None
                              else self.landmark_params.query_depth)
-        state, stats = distributed_single_source_scores(
-            self.graph, self.assignment, user, [topic], self._similarity,
-            authority=self._authority, params=self.params,
-            max_depth=exploration_depth, absorbing=self._landmark_set)
+        view = as_snapshot(self.graph, allow_stale=True)
+        engine, partition = self._pinned_to(view)
+        exploration, stats = distributed_single_source_scores(
+            engine, partition, user, topic, max_depth=exploration_depth,
+            absorbing=self._landmark_set)
 
-        home = self.assignment[user]
+        home = partition[view.index_of(user)]
+        position = view.position
         remote = 0
         local = 0
         entries_shipped = 0
-        if self.query_engine == "sparse":
-            view = as_snapshot(self.graph, allow_stale=True)
-            hits: List[Tuple[float, float, LandmarkVectors]] = []
-            for landmark in self._sorted_landmarks:
-                if landmark == user and exploration_depth > 0:
-                    continue
-                topo_ab = state.topo_alphabeta.get(landmark, 0.0)
-                if topo_ab <= 0.0:
-                    continue
-                vectors = self._vectors_for(view, landmark, topic)
-                if self.landmark_home(landmark) == home:
-                    local += 1
-                else:
-                    remote += 1
-                    entries_shipped += len(vectors)
-                hits.append((state.score(landmark, topic), topo_ab, vectors))
-            combined = compose_landmark_contributions(
-                view, state.scores.get(topic, {}), hits, user)
-        else:
-            combined = dict(state.scores.get(topic, {}))
-            for landmark in self._sorted_landmarks:
-                if landmark == user and exploration_depth > 0:
-                    continue
-                topo_ab = state.topo_alphabeta.get(landmark, 0.0)
-                if topo_ab <= 0.0:
-                    continue
-                entries = self.index.recommendations(landmark, topic)
-                if self.landmark_home(landmark) == home:
-                    local += 1
-                else:
-                    remote += 1
-                    entries_shipped += len(entries)
-                sigma_to_landmark = state.score(landmark, topic)
-                for entry in entries:
-                    if entry.node == user:
-                        continue
-                    contribution = (sigma_to_landmark * entry.topo
-                                    + topo_ab * entry.score)
-                    if contribution:
-                        combined[entry.node] = (
-                            combined.get(entry.node, 0.0) + contribution)
+        hits: List[Tuple[float, float, LandmarkVectors]] = []
+        for landmark in self._sorted_landmarks:
+            if landmark == user and exploration_depth > 0:
+                continue
+            pos = position.get(landmark)
+            if pos is None:
+                continue
+            topo_ab = float(exploration.topo_alphabeta[pos])
+            if topo_ab <= 0.0:
+                continue
+            vectors = self._vectors_for(view, landmark, topic)
+            if partition[pos] == home:
+                local += 1
+            else:
+                remote += 1
+                entries_shipped += len(vectors)
+            hits.append((float(exploration.scores[pos]), topo_ab, vectors))
+        combined = compose_landmark_contributions(
+            view, exploration.scores, hits, user)
         cost = QueryCost(
             propagation=stats,
             remote_landmarks=remote,

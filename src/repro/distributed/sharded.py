@@ -11,17 +11,20 @@ serving tier, built on the pieces earlier PRs laid down:
   ``min(i * P // n, P − 1)``, so :class:`ShardRouter` resolves any
   account with **one integer division and no lookup table**;
 - :func:`~repro.distributed.cluster.distributed_single_source_scores`
-  runs the Pregel-style depth-k exploration (bit-identical to the
-  single-machine engine) with cross-shard message accounting;
+  runs the depth-k exploration on the package's one kernel,
+  :class:`~repro.landmarks.query_engine.QueryEngine` (one per served
+  epoch, bit-identical to the single-machine recommender), and counts
+  the cross-shard messages a Pregel deployment of the same walk would
+  send;
 - landmark inverted lists are *homed*: each
   :class:`ShardWorker` owns the lists of the landmarks in its range,
   and remote lists travel through an accounted, deadline-checked,
   retry-bounded :class:`ShardChannel`.
 
 Query execution is scatter-gather (:class:`ShardedPlatform.serve`):
-route the request to its home shard, explore the k-vicinity locally,
+route the request to its home shard, explore the k-vicinity,
 fetch the lists of encountered remote landmarks over the channel,
-compose Proposition 4 exactly as the single-machine
+compose Proposition 4 with the same scatter-add as the single-machine
 :class:`~repro.landmarks.ApproximateRecommender`, and merge per-shard
 top-n partial rankings with :class:`~repro.utils.topk.TopK`. With all
 shards healthy the ranking is **bitwise-identical** to the
@@ -70,9 +73,9 @@ a seeded RNG and a virtual millisecond clock, never the wall clock):
   budget across the failover chain, or the request's simulated
   deadline exhausted mid-gather → the response degrades to what the
   healthy shards can answer and is flagged ``degraded=True``
-  (exploration treats the lost shard's nodes as absorbing, its homed
-  landmark lists are skipped, and its candidates drop out of the
-  merge);
+  (exploration treats the lost shard's position range as absorbing,
+  its homed landmark lists are skipped, and its candidates drop out
+  of the merge);
 - epoch mismatch — the pinned snapshot lagging its live graph with no
   rollover in progress, or any worker pinned to a different epoch than
   its generation — raises :class:`~repro.errors.StaleSnapshotError`
@@ -84,21 +87,20 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import (Deque, Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Set, Tuple)
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..api import (RecommendationRequest, RecommendationResponse,
                    response_from_pairs)
 from ..config import LandmarkParams, ScoreParams
-from ..core.scores import AuthorityIndex
 from ..errors import (ChannelError, ConfigurationError, DeadlineExceededError,
                       ShardDownError, StaleSnapshotError)
-from ..graph.labeled_graph import TopicSet
 from ..graph.snapshot import GraphLike, GraphSnapshot, as_snapshot
 from ..landmarks.index import LandmarkEntry, LandmarkIndex
-from ..landmarks.query_engine import (LandmarkVectorCache, LandmarkVectors,
+from ..landmarks.query_engine import (DenseExploration, LandmarkVectorCache,
+                                      LandmarkVectors, QueryEngine,
                                       compose_landmark_contributions,
-                                      resolve_query_engine,
                                       vectors_from_entries)
 from ..obs import runtime as _obs
 from ..semantics.matrix import SimilarityMatrix
@@ -214,33 +216,14 @@ class ShardRouter:
                 f"own no nodes and are not routable")
         return spec
 
-    def assignment(self) -> Mapping[int, int]:
-        """Node → shard mapping computed on demand — still no table."""
-        return _RouterAssignment(self)
+    def partition(self) -> np.ndarray:
+        """Shard id per dense position, from the spec bounds.
 
-
-class _RouterAssignment(Mapping[int, int]):
-    """Lazy ``Assignment`` view over the router's division.
-
-    The propagation engine wants a ``node → partition`` mapping; this
-    satisfies the ``Mapping`` contract by *computing* each lookup from
-    the dense position, preserving the tier's no-lookup-table property.
-    """
-
-    def __init__(self, router: ShardRouter) -> None:
-        self._router = router
-
-    def __getitem__(self, node: int) -> int:
-        return self._router.shard_of(node)
-
-    def __contains__(self, node: object) -> bool:
-        return node in self._router._snapshot.position
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._router._snapshot.node_ids)
-
-    def __len__(self) -> int:
-        return self._router.num_nodes
+        What the exploration's message accounting reads (one array per
+        served epoch); routing a single account stays a division.
+        """
+        return np.repeat(np.arange(self.num_shards, dtype=np.int64),
+                         [spec.num_nodes for spec in self.specs])
 
 
 # ----------------------------------------------------------------------
@@ -371,68 +354,40 @@ class ShardChannel:
         return ordered[rank]
 
     # -- fetch primitives ----------------------------------------------
-    def _payload(self, worker: "ShardWorker", landmark: int, topic: str,
-                 vectors: bool):
-        if vectors:
-            return worker.landmark_vectors(landmark, topic)
-        return worker.landmark_entries(landmark, topic)
-
-    def _resolve(self, worker: "ShardWorker", landmark: int, topic: str,
-                 vectors: bool) -> Tuple[str, object]:
-        """Outcome of one leg: ``("ok", payload) | ("down"|"drop", None)``.
+    def _resolve(self, worker: "ShardWorker", landmark: int, topic: str
+                 ) -> Tuple[str, Optional[LandmarkVectors]]:
+        """Outcome of one leg: ``("ok", vectors) | ("down"|"drop", None)``.
 
         Draws the failure RNG exactly once per leg (when flakiness is
-        configured), so the dict and sparse engines — which issue the
-        same leg sequence — replay identical simulated failures.
+        configured), so a fixed seed replays identical simulated
+        failures.
         """
         if worker.down:
             return "down", None
         if self.failure_rate and self._rng.random() < self.failure_rate:
             self.failures_total += 1
             return "drop", None
-        return "ok", self._payload(worker, landmark, topic, vectors)
+        return "ok", worker.landmark_vectors(landmark, topic)
 
     def _single(self, worker: "ShardWorker", latency: float, landmark: int,
-                topic: str, clock: _RequestClock, attempt: int,
-                vectors: bool):
+                topic: str, clock: _RequestClock,
+                attempt: int) -> LandmarkVectors:
+        """One un-hedged fetch attempt of a landmark's inverted list."""
         clock.charge(latency)
         self._record(worker, latency)
         self.fetches_total += 1
-        status, payload = self._resolve(worker, landmark, topic, vectors)
+        status, payload = self._resolve(worker, landmark, topic)
         if status == "down":
             raise ShardDownError(worker.spec.shard_id)
         if status == "drop":
             raise ChannelError(worker.spec.shard_id, attempt)
+        assert payload is not None
         return payload
-
-    def fetch(self, worker: "ShardWorker", landmark: int, topic: str,
-              clock: _RequestClock, attempt: int) -> List[LandmarkEntry]:
-        """One un-hedged fetch attempt of a landmark's inverted list.
-
-        Raises:
-            DeadlineExceededError: the request budget ran out.
-            ShardDownError: the target worker is marked down.
-            ChannelError: the simulated link dropped this attempt.
-        """
-        return self._single(worker, self._draw_latency(worker), landmark,
-                            topic, clock, attempt, vectors=False)
-
-    def fetch_vectors(self, worker: "ShardWorker", landmark: int, topic: str,
-                      clock: _RequestClock, attempt: int) -> LandmarkVectors:
-        """Vectorised twin of :meth:`fetch` — same cost and failure model.
-
-        The charge → down-check → flakiness sequence is identical (one
-        RNG draw per attempt either way), so a request pays the same
-        simulated latency and sees the same simulated failures no
-        matter which query engine composes it.
-        """
-        return self._single(worker, self._draw_latency(worker), landmark,
-                            topic, clock, attempt, vectors=True)
 
     def hedged_fetch(self, primary: "ShardWorker",
                      backup: Optional["ShardWorker"], landmark: int,
-                     topic: str, clock: _RequestClock, attempt: int, *,
-                     vectors: bool = False):
+                     topic: str, clock: _RequestClock,
+                     attempt: int) -> LandmarkVectors:
         """One fetch attempt against *primary*, hedged to *backup*.
 
         The hedge fires when the primary's drawn latency exceeds its
@@ -446,7 +401,7 @@ class ShardChannel:
         abandoned leg's completion is never observed — recording it
         would teach the threshold the outlier it just dodged). With no
         backup, no threshold (cold history), or a fast draw, this
-        degenerates to exactly :meth:`fetch` / :meth:`fetch_vectors`.
+        degenerates to a single un-hedged fetch.
 
         Raises:
             DeadlineExceededError: the request budget ran out.
@@ -458,11 +413,11 @@ class ShardChannel:
                      if backup is not None else None)
         if threshold is None or draw_primary <= threshold:
             return self._single(primary, draw_primary, landmark, topic,
-                                clock, attempt, vectors)
+                                clock, attempt)
 
-        status_p, payload_p = self._resolve(primary, landmark, topic, vectors)
+        status_p, payload_p = self._resolve(primary, landmark, topic)
         draw_backup = self._draw_latency(backup)
-        status_b, payload_b = self._resolve(backup, landmark, topic, vectors)
+        status_b, payload_b = self._resolve(backup, landmark, topic)
         self.hedges_sent += 1
         self.fetches_total += 2
         _obs.count("shard.hedge.sent_total")
@@ -493,14 +448,13 @@ class ShardChannel:
 # ----------------------------------------------------------------------
 
 class ShardWorker:  # repro: ignore[W4] -- instantiated by ShardedPlatform.build; exported as the per-shard component type (docs/ARCHITECTURE.md)
-    """One shard replica: a contiguous snapshot slice plus homed lists.
+    """One shard replica: a contiguous snapshot range plus homed lists.
 
-    The worker owns rebased copies of its CSR rows (``out_indptr``
-    starts at 0, ``out_indices`` still hold global dense positions —
-    edges may point anywhere), a shared :class:`AuthorityIndex`, and
-    the inverted lists of every landmark whose home position falls in
-    its range. Adjacency reads for non-owned nodes are refused —
-    cross-shard data moves only through the platform's channel.
+    The worker owns the inverted lists of every landmark whose home
+    position falls in its range, and their vectorised views; remote
+    lists move only through the platform's channel. It keeps nothing
+    per request and nothing per node: its caches are bounded by its
+    homed landmarks × topics.
 
     Replicas of one shard range are interchangeable: they slice the
     same pinned snapshot, so any replica answers bitwise-identically.
@@ -514,30 +468,16 @@ class ShardWorker:  # repro: ignore[W4] -- instantiated by ShardedPlatform.build
 
     def __init__(self, snapshot: GraphSnapshot, spec: ShardSpec,
                  index: LandmarkIndex, router: ShardRouter,
-                 authority: Optional[AuthorityIndex] = None,
                  replica_id: int = 0, ready: bool = True) -> None:
         self.spec = spec
         self.replica_id = replica_id
         self.epoch = snapshot.epoch
         self.ready = ready
         self._snapshot = snapshot
-        lo, hi = spec.lo, spec.hi
         #: This worker's slice of the node-id table. A slice, not a
         #: copy: for store-loaded snapshots ``node_ids`` is a ``range``
         #: and the slice stays a ``range`` — no per-node heap cost.
-        self.node_ids: Tuple[int, ...] = snapshot.node_ids[lo:hi]
-        #: This shard's CSR rows, rebased so row ``i`` is local node
-        #: ``i``. ``out_slice`` returns *views* of the snapshot arrays
-        #: (only the small rebased indptr is copied), so replica
-        #: warm-up and rollover ``_Generation`` builds on an
-        #: mmap-backed snapshot open file-backed slices and page in
-        #: rows on first read instead of deep-copying the adjacency.
-        (self.out_indptr, self.out_indices,
-         self.out_label_ids) = snapshot.out_slice(lo, hi)
-        #: Per-shard authority cache (scores are snapshot-global, the
-        #: memo is shard-private unless a shared cache is passed in).
-        self.authority = (authority if authority is not None
-                          else AuthorityIndex(snapshot))
+        self.node_ids: Tuple[int, ...] = snapshot.node_ids[spec.lo:spec.hi]
         #: Landmarks homed here, with their inverted lists.
         self.landmarks: Tuple[int, ...] = tuple(
             landmark for landmark in sorted(index.landmarks)
@@ -552,7 +492,6 @@ class ShardWorker:  # repro: ignore[W4] -- instantiated by ShardedPlatform.build
         self.down = False
         self.requests_total = 0
         self.queue_depth = 0
-        self._row_cache: Dict[int, Dict[int, TopicSet]] = {}
         # Vectorised views of the homed lists. The worker's list copies
         # are frozen at construction (epoch-pinned), so the version
         # component is always 0 — only the epoch key matters here.
@@ -588,62 +527,14 @@ class ShardWorker:  # repro: ignore[W4] -- instantiated by ShardedPlatform.build
         _obs.count("shard.replica.warmups_total")
         return built
 
-    def owns(self, node: int) -> bool:
-        """Whether *node*'s home position falls in this shard's range."""
-        position = self._snapshot.position.get(node)
-        return (position is not None
-                and self.spec.lo <= position < self.spec.hi)
-
-    def out_neighbors(self, node: int) -> Mapping[int, TopicSet]:
-        """Adjacency of an *owned* node, read from the shard's own rows.
-
-        Identical content to the full snapshot's row (same ids, same
-        interned labels), which is what makes shard-side exploration
-        bit-exact. Raises :class:`ConfigurationError` for non-owned
-        nodes — the worker has no rows for them.
-        """
-        cached = self._row_cache.get(node)
-        if cached is not None:
-            return cached
-        position = self._snapshot.index_of(node)
-        if not self.spec.lo <= position < self.spec.hi:
-            raise ConfigurationError(
-                f"shard {self.spec.shard_id} does not own node {node} "
-                f"(position {position} outside [{self.spec.lo}, "
-                f"{self.spec.hi}))")
-        local = position - self.spec.lo
-        start = int(self.out_indptr[local])
-        stop = int(self.out_indptr[local + 1])
-        node_ids = self._snapshot.node_ids
-        labels = self._snapshot.labels
-        row = {
-            node_ids[j]: labels[l]
-            for j, l in zip(self.out_indices[start:stop].tolist(),
-                            self.out_label_ids[start:stop].tolist())
-        }
-        self._row_cache[node] = row
-        return row
-
-    def landmark_entries(self, landmark: int,
-                         topic: str) -> List[LandmarkEntry]:
-        """Inverted list of a landmark homed on this shard.
-
-        Raises :class:`ConfigurationError` when asked for a landmark
-        homed elsewhere — list reads never silently cross shards.
-        """
-        lists = self._lists.get(landmark)
-        if lists is None:
-            raise ConfigurationError(
-                f"landmark {landmark} is not homed on shard "
-                f"{self.spec.shard_id}")
-        return lists.get(topic, [])
-
     def landmark_vectors(self, landmark: int, topic: str) -> LandmarkVectors:
         """Vectorised view of a homed landmark's inverted list.
 
-        Same homing contract as :meth:`landmark_entries`; the arrays
-        are built once per ``(landmark, topic)`` and cached (the
-        worker's list copies never change within its pinned epoch).
+        The arrays are built once per ``(landmark, topic)`` and cached
+        (the worker's list copies never change within its pinned
+        epoch). Raises :class:`ConfigurationError` when asked for a
+        landmark homed elsewhere — list reads never silently cross
+        shards.
         """
         lists = self._lists.get(landmark)
         if lists is None:
@@ -701,30 +592,6 @@ class ReplicaSet:
         return all(worker.ready for worker in self.replicas)
 
 
-class _ShardedGraphView:
-    """Graph facade routing adjacency reads to the owning replica set.
-
-    The propagation engine only ever calls ``out_neighbors``; each call
-    lands on the owning range's primary replica, so a traversal that
-    crosses a shard boundary reads the *target* shard's rows for the
-    next hop — matching how a real deployment walks a partitioned
-    graph. Fully-down shards are made absorbing by the platform before
-    the engine runs, so their rows are never read.
-    """
-
-    def __init__(self, replica_sets: Sequence[ReplicaSet],
-                 router: ShardRouter) -> None:
-        self._replica_sets = replica_sets
-        self._router = router
-
-    def out_neighbors(self, node: int) -> Mapping[int, TopicSet]:
-        replica_set = self._replica_sets[self._router.shard_of(node)]
-        worker = replica_set.primary()
-        if worker is None:
-            raise ShardDownError(replica_set.spec.shard_id)
-        return worker.out_neighbors(node)
-
-
 # ----------------------------------------------------------------------
 # Generations + rollover
 # ----------------------------------------------------------------------
@@ -743,11 +610,24 @@ class _Generation:
     snapshot: GraphSnapshot
     router: ShardRouter
     replica_sets: List[ReplicaSet]
-    view: _ShardedGraphView
-    assignment: Mapping[int, int]
     index: LandmarkIndex
     landmark_set: frozenset
+    #: Landmarks in the snapshot, ascending — the composition order —
+    #: and their dense positions, aligned.
     sorted_landmarks: List[int]
+    landmark_positions: np.ndarray
+    #: The epoch's one depth-k kernel (per-topic arrays shared by every
+    #: request) and the shard id per position its message accounting
+    #: reads.
+    engine: QueryEngine
+    partition: np.ndarray
+
+    @property
+    def topics(self) -> List[str]:
+        """Every topic the index holds lists for, sorted."""
+        index = self.index
+        return sorted({topic for landmark in index.landmarks
+                       for topic in index.topics_of(landmark)})
 
 
 class EpochRollover:
@@ -782,13 +662,17 @@ class EpochRollover:
     def warm(self) -> int:
         """Warm every next-generation replica beside the serving tier.
 
+        Also builds the next epoch's QueryEngine arrays for every
+        indexed topic, so no read after the flip pays for them.
         Returns the total number of landmark-vector views prebuilt
         across all replicas (the ``shard.rollover.warm`` span).
         """
         built = 0
         replicas = 0
+        generation = self.next_generation
         with _obs.span("shard.rollover.warm") as _sp:
-            for replica_set in self.next_generation.replica_sets:
+            generation.engine.warm(generation.topics)
+            for replica_set in generation.replica_sets:
                 for worker in replica_set.replicas:
                     built += worker.warm()
                     replicas += 1
@@ -862,7 +746,6 @@ class ShardedPlatform:
         channel: Optional[ShardChannel] = None,
         deadline_ms: float = 50.0,
         max_retries: int = 2,
-        query_engine: str = "auto",
         hedge: bool = True,
         source: Optional[GraphLike] = None,
     ) -> None:
@@ -887,11 +770,6 @@ class ShardedPlatform:
         self.hedge = hedge
         #: Replication factor every generation is built with.
         self.replicas = replica_sets[0].num_replicas
-        #: Composition engine: ``"sparse"`` gathers vectorised lists
-        #: (:meth:`ShardChannel.fetch_vectors`) and composes with one
-        #: scatter-add; ``"dict"`` keeps the reference entry loop.
-        #: Identical answers, identical simulated channel traffic.
-        self.query_engine = resolve_query_engine(query_engine)
         self._similarity = similarity
         self._num_shards = router.num_shards
         self._source = source
@@ -911,12 +789,10 @@ class ShardedPlatform:
         replicas: int = 1,
         params: Optional[ScoreParams] = None,
         landmark_params: Optional[LandmarkParams] = None,
-        authority: Optional[AuthorityIndex] = None,
         channel: Optional[ShardChannel] = None,
         deadline_ms: float = 50.0,
         max_retries: int = 2,
         allow_stale: bool = False,
-        query_engine: str = "auto",
         hedge: bool = True,
     ) -> "ShardedPlatform":
         """Pin a snapshot, cut it into *num_shards* ranges, start workers.
@@ -932,17 +808,12 @@ class ShardedPlatform:
                 shard range with deterministic primary/failover order.
             params: Propagation knobs (default: the index's).
             landmark_params: Exploration knobs (default: the index's).
-            authority: Share one authority cache across workers instead
-                of the snapshot's own shared cache.
             channel: Cross-shard link simulation (default: reliable,
                 1 ms per fetch, no jitter — hedging quiescent).
             deadline_ms: Default per-request simulated latency budget.
             max_retries: Re-attempts per failed remote fetch, per
                 replica in the failover chain.
             allow_stale: Accept a snapshot whose graph already moved on.
-            query_engine: ``"auto"`` / ``"dict"`` / ``"sparse"`` —
-                which Proposition-4 composition path serves requests
-                (answers are bitwise-identical either way).
             hedge: Allow hedged remote fetches when ``replicas >= 2``.
         """
         if replicas < 1:
@@ -951,27 +822,21 @@ class ShardedPlatform:
         snapshot = as_snapshot(graph, allow_stale)
         router = ShardRouter(snapshot, num_shards)
         replica_sets = cls._build_replica_sets(
-            snapshot, router, index, replicas, authority=authority,
-            ready=True)
+            snapshot, router, index, replicas, ready=True)
         return cls(snapshot, router, replica_sets, similarity, index,
                    params=params, landmark_params=landmark_params,
                    channel=channel, deadline_ms=deadline_ms,
-                   max_retries=max_retries, query_engine=query_engine,
-                   hedge=hedge, source=graph)
+                   max_retries=max_retries, hedge=hedge, source=graph)
 
     @staticmethod
     def _build_replica_sets(
             snapshot: GraphSnapshot, router: ShardRouter,
             index: LandmarkIndex, replicas: int, *,
-            authority: Optional[AuthorityIndex] = None,
             ready: bool = True) -> List[ReplicaSet]:
-        shared_authority = (authority if authority is not None
-                            else snapshot.authority())
         return [
             ReplicaSet(spec, [
                 ShardWorker(snapshot, spec, index, router,
-                            authority=shared_authority, replica_id=replica,
-                            ready=ready)
+                            replica_id=replica, ready=ready)
                 for replica in range(replicas)
             ])
             for spec in router.specs
@@ -982,18 +847,24 @@ class ShardedPlatform:
                              replica_sets: List[ReplicaSet],
                              index: LandmarkIndex) -> _Generation:
         landmark_set = frozenset(index.landmarks)
+        position = snapshot.position
+        # Globally sorted composition order — the same float
+        # accumulation order as ApproximateRecommender, which is what
+        # keeps the sharded ranking bitwise-identical to it.
+        landmarks = [landmark for landmark in sorted(landmark_set)
+                     if landmark in position]
         return _Generation(
             snapshot=snapshot,
             router=router,
             replica_sets=replica_sets,
-            view=_ShardedGraphView(replica_sets, router),
-            assignment=router.assignment(),
             index=index,
             landmark_set=landmark_set,
-            # Globally sorted composition order — the same float
-            # accumulation order as ApproximateRecommender, which is
-            # what keeps the sharded ranking bitwise-identical to it.
-            sorted_landmarks=sorted(landmark_set),
+            sorted_landmarks=landmarks,
+            landmark_positions=np.asarray(
+                [position[landmark] for landmark in landmarks],
+                dtype=np.int64),
+            engine=QueryEngine(snapshot, self._similarity, self.params),
+            partition=router.partition(),
         )
 
     # ------------------------------------------------------------------
@@ -1194,8 +1065,8 @@ class ShardedPlatform:
                 if replica_set.all_down}
 
     def _fetch_replicated(self, replica_set: ReplicaSet, landmark: int,
-                          topic: str, clock: _RequestClock, *,
-                          vectors: bool):
+                          topic: str, clock: _RequestClock
+                          ) -> Optional[LandmarkVectors]:
         """Replica-aware fetch: retries, failover, hedging.
 
         Walks the live-replica chain in deterministic order; each
@@ -1210,8 +1081,7 @@ class ShardedPlatform:
             for attempt in range(1, self.max_retries + 2):
                 try:
                     return self.channel.hedged_fetch(
-                        replica, backup, landmark, topic, clock, attempt,
-                        vectors=vectors)
+                        replica, backup, landmark, topic, clock, attempt)
                 except ChannelError:
                     _obs.count("shard.retries_total")
                 except ShardDownError:
@@ -1278,17 +1148,12 @@ class ShardedPlatform:
                             home=home_id, shards=self.num_shards,
                             replica=home.replica_id,
                             epoch=generation.snapshot.epoch)
-                state, stats = self._explore(
-                    generation, request, home, exploration_depth, down)
-                if self.query_engine == "sparse":
-                    combined, cost_parts, degraded = self._compose_vectorized(
-                        generation, request, state, home_id,
-                        exploration_depth, clock, down, unreachable, degraded)
-                else:
-                    combined, cost_parts, degraded = self._compose(
-                        generation, request, state, home_id,
-                        exploration_depth, clock, down, unreachable, degraded)
-                ranked = self._merge(generation, request, home, combined,
+                exploration, stats = self._explore(
+                    generation, request, exploration_depth, down)
+                combined, cost_parts, degraded = self._compose(
+                    generation, request, exploration, home_id,
+                    exploration_depth, clock, down, unreachable, degraded)
+                ranked = self._merge(generation, request, combined,
                                      down | unreachable)
                 hedged = self.channel.hedges_sent > hedges_before
                 if _sp:
@@ -1312,119 +1177,59 @@ class ShardedPlatform:
 
     # ------------------------------------------------------------------
     def _explore(self, generation: _Generation,
-                 request: RecommendationRequest, home: ShardWorker,
-                 exploration_depth: int, down: Set[int]):
-        """Depth-k exploration from the home shard, landmark-absorbed.
+                 request: RecommendationRequest, exploration_depth: int,
+                 down: Set[int]):
+        """Depth-k exploration from the user, landmark-absorbed.
 
-        Down shards' nodes are added to the absorbing set: mass still
-        *reaches* them (computing an edge only reads the sender's row)
-        but the walk never expands from them, so no down-shard row is
-        ever read.
+        Runs on the generation's :class:`QueryEngine`. Down shards'
+        position ranges are added to the absorbing mask: mass still
+        *reaches* their nodes (computing an edge only reads the
+        sender's row) but the walk never expands from them, so no
+        down-shard row is ever read.
         """
-        absorbing = generation.landmark_set
+        absorbing = generation.engine.absorbing_mask(generation.landmark_set)
         if down:
-            lost: Set[int] = set()
+            absorbing = absorbing.copy()
             for shard_id in down:
-                lost.update(
-                    generation.replica_sets[shard_id].replicas[0].node_ids)
-            absorbing = frozenset(absorbing | lost)
+                spec = generation.router.specs[shard_id]
+                absorbing[spec.lo:spec.hi] = True
         with _obs.span("shard.explore") as _sp:
-            state, stats = distributed_single_source_scores(
-                generation.view, generation.assignment, request.user,
-                [request.topic], self._similarity, authority=home.authority,
-                params=self.params, max_depth=exploration_depth,
+            exploration, stats = distributed_single_source_scores(
+                generation.engine, generation.partition, request.user,
+                request.topic, max_depth=exploration_depth,
                 absorbing=absorbing)
             if _sp:
                 _sp.set(depth=exploration_depth,
                         supersteps=stats.supersteps,
                         remote_messages=stats.remote_messages)
-        return state, stats
+        return exploration, stats
 
     def _compose(self, generation: _Generation,
-                 request: RecommendationRequest, state, home_id: int,
+                 request: RecommendationRequest,
+                 exploration: DenseExploration, home_id: int,
                  exploration_depth: int, clock: _RequestClock,
                  down: Set[int], unreachable: Set[int], degraded: bool):
         """Proposition-4 composition, fetching remote lists as needed.
 
-        Iterates landmarks in global sorted order — the exact float
-        accumulation order of the single-machine recommender.
-        """
-        user, topic = request.user, request.topic
-        combined: Dict[int, float] = dict(state.scores.get(topic, {}))
-        local = remote = shipped = 0
-        deadline_hit = False
-        home_set = generation.replica_sets[home_id]
-        with _obs.span("shard.compose") as _sp:
-            for landmark in generation.sorted_landmarks:
-                if landmark == user and exploration_depth > 0:
-                    continue
-                topo_ab = state.topo_alphabeta.get(landmark, 0.0)
-                if topo_ab <= 0.0:
-                    continue
-                owner = generation.router.shard_of(landmark)
-                if owner == home_id:
-                    primary = home_set.primary()
-                    assert primary is not None  # home checked in serve
-                    entries = primary.landmark_entries(landmark, topic)
-                    local += 1
-                else:
-                    if owner in down or owner in unreachable or deadline_hit:
-                        degraded = True
-                        continue
-                    try:
-                        entries = self._fetch_replicated(
-                            generation.replica_sets[owner], landmark, topic,
-                            clock, vectors=False)
-                    except DeadlineExceededError:
-                        _obs.count("shard.deadline_exceeded_total")
-                        deadline_hit = True
-                        degraded = True
-                        continue
-                    if entries is None:
-                        unreachable.add(owner)
-                        degraded = True
-                        continue
-                    remote += 1
-                    shipped += len(entries)
-                    _obs.count("shard.remote_fetches_total")
-                sigma_to_landmark = state.score(landmark, topic)
-                for entry in entries:
-                    if entry.node == user:
-                        continue
-                    contribution = (sigma_to_landmark * entry.topo
-                                    + topo_ab * entry.score)
-                    if contribution:
-                        combined[entry.node] = (
-                            combined.get(entry.node, 0.0) + contribution)
-            if _sp:
-                _sp.set(local_landmarks=local, remote_landmarks=remote,
-                        entries=shipped, candidates=len(combined))
-        return combined, (local, remote, shipped), degraded
-
-    def _compose_vectorized(self, generation: _Generation,
-                            request: RecommendationRequest, state,
-                            home_id: int, exploration_depth: int,
-                            clock: _RequestClock, down: Set[int],
-                            unreachable: Set[int], degraded: bool):
-        """Vectorised :meth:`_compose` — bitwise-identical answers.
-
-        The control flow (sorted-landmark order, down / unreachable /
-        deadline handling, retry/failover/hedge accounting) is exactly
-        the reference loop's; only the per-entry arithmetic moves into
-        one concatenated scatter-add over the gathered landmark
-        vectors.
+        Hit landmarks are visited in global sorted order — the exact
+        float accumulation order of the single-machine recommender —
+        with down / unreachable / deadline handling and
+        retry/failover/hedge accounting per remote fetch; the per-entry
+        arithmetic is one concatenated scatter-add over the gathered
+        landmark vectors.
         """
         user, topic = request.user, request.topic
         local = remote = shipped = 0
         deadline_hit = False
         home_set = generation.replica_sets[home_id]
         with _obs.span("shard.compose") as _sp:
+            positions = generation.landmark_positions
+            topo_ab_lm = exploration.topo_alphabeta[positions]
+            sigma_lm = exploration.scores[positions]
             hits: List[Tuple[float, float, LandmarkVectors]] = []
-            for landmark in generation.sorted_landmarks:
+            for i in (topo_ab_lm > 0.0).nonzero()[0].tolist():
+                landmark = generation.sorted_landmarks[i]
                 if landmark == user and exploration_depth > 0:
-                    continue
-                topo_ab = state.topo_alphabeta.get(landmark, 0.0)
-                if topo_ab <= 0.0:
                     continue
                 owner = generation.router.shard_of(landmark)
                 if owner == home_id:
@@ -1439,7 +1244,7 @@ class ShardedPlatform:
                     try:
                         vectors = self._fetch_replicated(
                             generation.replica_sets[owner], landmark, topic,
-                            clock, vectors=True)
+                            clock)
                     except DeadlineExceededError:
                         _obs.count("shard.deadline_exceeded_total")
                         deadline_hit = True
@@ -1452,17 +1257,17 @@ class ShardedPlatform:
                     remote += 1
                     shipped += len(vectors)
                     _obs.count("shard.remote_fetches_total")
-                hits.append((state.score(landmark, topic), topo_ab, vectors))
+                hits.append((float(sigma_lm[i]), float(topo_ab_lm[i]),
+                             vectors))
             combined = compose_landmark_contributions(
-                generation.snapshot, state.scores.get(topic, {}), hits, user)
+                generation.snapshot, exploration.scores, hits, user)
             if _sp:
                 _sp.set(local_landmarks=local, remote_landmarks=remote,
                         entries=shipped, candidates=len(combined))
         return combined, (local, remote, shipped), degraded
 
     def _merge(self, generation: _Generation,
-               request: RecommendationRequest, home: ShardWorker,
-               combined: Dict[int, float],
+               request: RecommendationRequest, combined: Dict[int, float],
                lost: Set[int]) -> List[Tuple[int, float]]:
         """Merge per-shard top-n partial rankings into the final top-n.
 
@@ -1472,10 +1277,16 @@ class ShardedPlatform:
         candidates, so every global winner survives its shard's cut —
         the merged result equals the unsharded ranking bitwise.
         Candidates owned by down or unreachable shards have no shard to
-        answer for them and drop out (the degraded path).
+        answer for them and drop out (the degraded path). The user's
+        followees are read from its snapshot row.
         """
+        snapshot = generation.snapshot
+        position = snapshot.index_of(request.user)
+        followees = snapshot.out_indices[snapshot.out_indptr[position]:
+                                         snapshot.out_indptr[position + 1]]
+        node_ids = snapshot.node_ids
         excluded = {request.user}
-        excluded.update(home.out_neighbors(request.user))
+        excluded.update(node_ids[j] for j in followees.tolist())
         with _obs.span("shard.merge") as _sp:
             partials: Dict[int, TopK] = {}
             for node, value in combined.items():

@@ -2,13 +2,12 @@
 
 from .selection import STRATEGIES, select_landmarks
 from .index import LandmarkEntry, LandmarkIndex
-from .approximate import ApproximateRecommender, explore_with_landmarks
+from .approximate import ApproximateRecommender
 from .query_engine import (
     LandmarkVectorCache,
     LandmarkVectors,
     QueryEngine,
     compose_landmark_contributions,
-    resolve_query_engine,
     vectors_from_entries,
 )
 from .storage import load_index, save_index
@@ -19,12 +18,10 @@ __all__ = [
     "LandmarkIndex",
     "LandmarkEntry",
     "ApproximateRecommender",
-    "explore_with_landmarks",
     "LandmarkVectorCache",
     "LandmarkVectors",
     "QueryEngine",
     "compose_landmark_contributions",
-    "resolve_query_engine",
     "vectors_from_entries",
     "save_index",
     "load_index",

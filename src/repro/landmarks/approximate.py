@@ -19,14 +19,14 @@ paper notes after Proposition 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..api import (RecommendationRequest, RecommendationResponse,
                    response_from_pairs)
 from ..config import LandmarkParams, ScoreParams
-from ..core.exact import ScoreState, _MaxSimCache, single_source_scores
+from ..core.exact import ScoreState, _MaxSimCache
 from ..core.scores import AuthorityIndex
 from ..graph.snapshot import GraphLike, GraphSnapshot, as_snapshot
 from ..obs import runtime as _obs
@@ -35,27 +35,8 @@ from .index import LandmarkIndex
 from .query_engine import (DenseExploration, LandmarkVectorCache,
                            LandmarkVectors, QueryEngine,
                            StackedLandmarkLists, compose_stacked,
-                           dense_scores_to_dict, resolve_query_engine,
-                           stack_landmark_vectors, vectors_from_entries)
-
-
-def explore_with_landmarks(  # repro: ignore[W4] -- paper Algorithm 2's exploration primitive, exported standalone via repro.landmarks for notebooks and ablations
-    graph: GraphLike,
-    source: int,
-    topics: Sequence[str],
-    similarity: SimilarityMatrix,
-    landmarks: frozenset,
-    params: ScoreParams = ScoreParams(),
-    depth: int = 2,
-    authority: Optional[AuthorityIndex] = None,
-    sim_cache: Optional[_MaxSimCache] = None,
-    allow_stale: bool = False,
-) -> ScoreState:
-    """Depth-limited exploration from *source*, absorbed at landmarks."""
-    return single_source_scores(
-        graph, source, list(topics), similarity, authority=authority,
-        params=params, max_depth=depth, sim_cache=sim_cache,
-        absorbing=landmarks, allow_stale=allow_stale)
+                           dense_scores_to_dict, stack_landmark_vectors,
+                           vectors_from_entries)
 
 
 @dataclass
@@ -103,7 +84,6 @@ class ApproximateRecommender:
         landmark_params: Optional[LandmarkParams] = None,
         authority: Optional[AuthorityIndex] = None,
         allow_stale: bool = False,
-        query_engine: str = "auto",
         vector_cache: Optional[LandmarkVectorCache] = None,
     ) -> None:
         self.graph = graph
@@ -112,11 +92,6 @@ class ApproximateRecommender:
         self.landmark_params = (landmark_params if landmark_params is not None
                                 else index.landmark_params)
         self.allow_stale = allow_stale
-        #: Concrete query engine: ``"sparse"`` (the vectorised
-        #: :class:`~repro.landmarks.query_engine.QueryEngine`) or
-        #: ``"dict"`` (the reference path). Both answer bitwise
-        #: identically; ``"auto"`` resolves to ``"sparse"``.
-        self.query_engine = resolve_query_engine(query_engine)
         self._similarity = similarity
         self._authority_supplied = authority
         self._view = as_snapshot(graph, allow_stale)
@@ -197,77 +172,16 @@ class ApproximateRecommender:
         effective_stale = (self.allow_stale if allow_stale is None
                            else bool(allow_stale))
         view = self._resolve(allow_stale=effective_stale)
-        if self.query_engine == "sparse":
-            dense, combined_dense, extra_scores, encountered = (
-                self._query_core(view, user, topic, exploration_depth))
-            combined = dense_scores_to_dict(view, combined_dense)
-            for node, value in extra_scores.items():
-                combined[node] = value
-            state = dense.to_state(view, topic)
-        else:
-            with _obs.span("approx.query") as _sp:
-                if _sp:
-                    _sp.set(user=user, topic=topic, depth=exploration_depth,
-                            engine=self.query_engine)
-                combined, encountered, state = self._query_dict(
-                    view, user, topic, exploration_depth, effective_stale)
-                _obs.count("approx.queries_total")
-                _obs.count("approx.landmarks_encountered_total",
-                           len(encountered))
-                if _sp:
-                    _sp.set(landmarks_hit=len(encountered))
-            if _sp:
-                _obs.observe("approx.query_seconds", _sp.elapsed)
+        dense, combined_dense, extra_scores, encountered = (
+            self._query_core(view, user, topic, exploration_depth))
+        combined = dense_scores_to_dict(view, combined_dense)
+        for node, value in extra_scores.items():
+            combined[node] = value
         return ApproximateResult(
             scores=combined,
             landmarks_encountered=tuple(encountered),
-            exploration=state,
+            exploration=dense.to_state(view, topic),
         )
-
-    def _query_dict(
-        self, view: GraphSnapshot, user: int, topic: str,
-        exploration_depth: int, effective_stale: bool,
-    ) -> Tuple[Dict[int, float], List[int], ScoreState]:
-        """Reference query path: dict explore + entry-by-entry compose."""
-        with _obs.span("approx.explore") as _explore:
-            state = explore_with_landmarks(
-                view, user, [topic], self._similarity,
-                landmarks=self._landmark_set, params=self.params,
-                depth=exploration_depth, authority=self._authority,
-                sim_cache=self._sim_cache, allow_stale=effective_stale)
-            if _explore:
-                _explore.set(depth=exploration_depth,
-                             frontier_size=len(state.topo_alphabeta))
-        if _explore:
-            _obs.observe("approx.explore_seconds", _explore.elapsed)
-
-        with _obs.span("approx.compose") as _compose:
-            # Directly-reached nodes keep their exploration score.
-            combined: Dict[int, float] = dict(state.scores.get(topic, {}))
-
-            encountered: List[int] = []
-            for landmark in self._sorted_landmarks:
-                if landmark == user and exploration_depth > 0:
-                    continue
-                topo_ab = state.topo_alphabeta.get(landmark, 0.0)
-                if topo_ab <= 0.0:
-                    continue
-                encountered.append(landmark)
-                sigma_to_landmark = state.score(landmark, topic)
-                for entry in self.index.recommendations(landmark, topic):
-                    if entry.node == user:
-                        continue
-                    contribution = (sigma_to_landmark * entry.topo
-                                    + topo_ab * entry.score)
-                    if contribution:
-                        combined[entry.node] = (
-                            combined.get(entry.node, 0.0) + contribution)
-            if _compose:
-                _compose.set(landmarks_hit=len(encountered),
-                             candidates=len(combined))
-        if _compose:
-            _obs.observe("approx.compose_seconds", _compose.elapsed)
-        return combined, encountered, state
 
     def _stacked_for(self, view: GraphSnapshot,
                      topic: str) -> StackedLandmarkLists:
@@ -295,7 +209,7 @@ class ApproximateRecommender:
         self, view: GraphSnapshot, user: int, topic: str,
         exploration_depth: int,
     ) -> Tuple[DenseExploration, np.ndarray, Dict[int, float], List[int]]:
-        """Batched query path — bitwise-identical to :meth:`_query_dict`.
+        """Algorithm 2 over arrays: explore, then compose.
 
         The exploration runs as array rounds over the snapshot's CSR
         arrays, and the Proposition-4 composition is one concatenated
@@ -308,8 +222,7 @@ class ApproximateRecommender:
         engine = self._engine_for(view)
         with _obs.span("approx.query") as _sp:
             if _sp:
-                _sp.set(user=user, topic=topic, depth=exploration_depth,
-                        engine=self.query_engine)
+                _sp.set(user=user, topic=topic, depth=exploration_depth)
             with _obs.span("approx.explore") as _explore:
                 dense = engine.explore(user, topic, exploration_depth,
                                        absorbing=self._landmark_set)
@@ -396,35 +309,22 @@ class ApproximateRecommender:
         with _obs.span("approx.recommend") as _sp:
             if _sp:
                 _sp.set(user=user, topic=topic, top_n=top_n)
-            if self.query_engine == "sparse":
-                # Dense fast path: explore + compose + rank stay in
-                # arrays end to end; no per-node dict is built.
-                exploration_depth = (
-                    depth if depth is not None
-                    else self.landmark_params.query_depth)
-                view = self._resolve(allow_stale=effective_stale)
-                _, combined_dense, extra_scores, _ = self._query_core(
-                    view, user, topic, exploration_depth)
-                with _obs.span("approx.rank") as _rank:
-                    ranked = self._rank_dense(
-                        view, self._engine_for(view), combined_dense,
-                        extra_scores, user, top_n, exclude_followed)
-                    if _rank:
-                        _rank.set(
-                            candidates=(int(np.count_nonzero(combined_dense))
-                                        + len(extra_scores)),
-                            returned=len(ranked))
-            else:
-                result = self.query(user, topic, depth=depth,
-                                    allow_stale=effective_stale)
-                with _obs.span("approx.rank") as _rank:
-                    excluded = {user}
-                    if exclude_followed:
-                        excluded.update(self._view.out_neighbors(user))
-                    ranked = result.ranked(top_n=top_n, exclude=excluded)
-                    if _rank:
-                        _rank.set(candidates=len(result.scores),
-                                  returned=len(ranked))
+            # Explore + compose + rank stay in arrays end to end; no
+            # per-node dict is built.
+            exploration_depth = (depth if depth is not None
+                                 else self.landmark_params.query_depth)
+            view = self._resolve(allow_stale=effective_stale)
+            _, combined_dense, extra_scores, _ = self._query_core(
+                view, user, topic, exploration_depth)
+            with _obs.span("approx.rank") as _rank:
+                ranked = self._rank_dense(
+                    view, self._engine_for(view), combined_dense,
+                    extra_scores, user, top_n, exclude_followed)
+                if _rank:
+                    _rank.set(
+                        candidates=(int(np.count_nonzero(combined_dense))
+                                    + len(extra_scores)),
+                        returned=len(ranked))
         request = RecommendationRequest(
             user=user, topic=topic, top_n=top_n,
             allow_stale=effective_stale, depth=depth)

@@ -3,12 +3,10 @@
 The paper's query-time promise is that Algorithm 2 answers in
 milliseconds: a depth-k exploration absorbed at landmarks, then the
 Proposition-4 composition of each encountered landmark's precomputed
-vectors. The dict-based reference path (:func:`single_source_scores`
-plus the entry-by-entry loop in
-:class:`~repro.landmarks.approximate.ApproximateRecommender`) is
-readable but walks Python dicts per edge and per stored entry. This
-module is the batched counterpart, mirroring what
-:class:`~repro.core.fast.SparseEngine` did for preprocessing:
+vectors. A dict walk (:func:`single_source_scores` plus an
+entry-by-entry compose loop) is readable but touches Python dicts per
+edge and per stored entry. This module is the batched form, mirroring
+what :class:`~repro.core.fast.SparseEngine` did for preprocessing:
 
 - :class:`QueryEngine` runs the depth-k frontier expansion directly
   over the shared :class:`~repro.graph.snapshot.GraphSnapshot` CSR
@@ -28,7 +26,7 @@ module is the batched counterpart, mirroring what
   (per-list version counters), so maintainers and live graphs stay
   correct.
 
-Bitwise parity with the dict path is a hard invariant, not a
+Bitwise parity with the dict walk is a hard invariant, not a
 best-effort: every float operation here replays the reference
 engine's accumulation order exactly —
 
@@ -47,22 +45,27 @@ engine's accumulation order exactly —
   guards are *added* here — ``x + 0.0`` is a bitwise no-op for the
   non-negative masses this engine propagates.
 
-``engine="auto" | "dict" | "sparse"`` selection mirrors the
-preprocessing knob, except that this engine needs only numpy (which the
-core already requires), so ``"auto"`` always resolves to ``"sparse"``.
+This is the only depth-k exploration and the only Proposition-4
+composition in the package: the single-machine recommender, the
+sharded serving tier and the partitioned landmark service all run it.
+The dict walker and the dict compose loop survive as test oracles
+(``tests/oracles/``), which the parity suites pin this module against
+bit for bit. Cross-partition message accounting
+(:class:`MessageStats`) is derived from the same gathered edge arrays
+a round already builds, so counting traffic costs a few array ops per
+round, not a second walk.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..config import ENGINE_CHOICES, ScoreParams
+from ..config import ScoreParams
 from ..core.exact import ScoreState, _MaxSimCache
 from ..core.scores import AuthorityIndex
 from ..errors import ConfigurationError
@@ -72,9 +75,10 @@ from ..semantics.matrix import SimilarityMatrix
 from .index import LandmarkEntry
 
 __all__ = [
-    "resolve_query_engine",
+    "DenseExploration",
     "LandmarkVectors",
     "LandmarkVectorCache",
+    "MessageStats",
     "StackedLandmarkLists",
     "QueryEngine",
     "compose_landmark_contributions",
@@ -83,24 +87,6 @@ __all__ = [
     "stack_landmark_vectors",
     "vectors_from_entries",
 ]
-
-
-def resolve_query_engine(name: str) -> str:
-    """Resolve a query-path ``engine=`` knob to a concrete engine.
-
-    Mirrors :func:`repro.core.fast.resolve_engine` but for the
-    query-time path, which is pure numpy: ``"auto"`` always resolves to
-    ``"sparse"`` (no scipy needed), ``"dict"`` keeps the reference
-    path, and both resolve to answers that are bitwise-identical.
-
-    Raises:
-        ConfigurationError: on a name outside
-            :data:`~repro.config.ENGINE_CHOICES`.
-    """
-    if name not in ENGINE_CHOICES:
-        raise ConfigurationError(
-            f"query engine must be one of {ENGINE_CHOICES}, got {name!r}")
-    return "sparse" if name == "auto" else name
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +325,7 @@ def compose_stacked(
 ) -> Tuple[np.ndarray, Dict[int, float], List[int]]:
     """Proposition-4 composition over the stacked arrays.
 
-    Bitwise-identical to the reference loop (and to
+    Bitwise-identical to the entry-by-entry dict compose loop (and to
     :func:`compose_landmark_contributions`): hit landmarks are the
     slices with ``topo_{αβ}(u,λ) > 0``, processed in ascending landmark
     order; the single ``np.add.at`` applies contributions in exactly
@@ -430,7 +416,7 @@ def compose_stacked(
 
 def compose_landmark_contributions(
     snapshot: GraphSnapshot,
-    base: Union[Mapping[int, float], np.ndarray],
+    base: np.ndarray,
     hits: Sequence[Tuple[float, float, LandmarkVectors]],
     user: int,
 ) -> Dict[int, float]:
@@ -438,9 +424,8 @@ def compose_landmark_contributions(
 
     Args:
         snapshot: The serving snapshot (supplies the dense index).
-        base: The directly-explored scores — a node → score mapping or
-            a dense per-position array. A dense array is copied, never
-            mutated.
+        base: The directly-explored scores ``σ(u,·,t)`` per dense
+            position (the exploration output); copied, never mutated.
         hits: ``(σ(u,λ,t), topo_{αβ}(u,λ), vectors)`` per encountered
             landmark, **in ascending landmark order** — the reference
             path's accumulation order, which this function preserves:
@@ -455,15 +440,7 @@ def compose_landmark_contributions(
         Node → combined score, positive entries only — the same mapping
         the dict compose loop builds.
     """
-    dense: np.ndarray
-    if isinstance(base, np.ndarray):
-        dense = base.copy()
-    else:
-        dense = np.zeros(len(snapshot))
-        position = snapshot.position
-        for node, value in base.items():
-            dense[position[node]] = value
-
+    dense = base.copy()
     position_chunks: List[np.ndarray] = []
     value_chunks: List[np.ndarray] = []
     extra_scores: Dict[int, float] = {}
@@ -502,13 +479,85 @@ def dense_scores_to_dict(snapshot: GraphSnapshot,
 # Batched depth-k exploration
 # ----------------------------------------------------------------------
 
+
+@dataclass
+class MessageStats:
+    """Network accounting of one partitioned exploration.
+
+    Counted per superstep from the round's gathered ``(walker,
+    neighbour)`` edge arrays (see :meth:`count_round`), so the numbers
+    are exactly what a Pregel deployment of the same walk would send.
+
+    Attributes:
+        supersteps: Propagation rounds executed.
+        local_transfers: Value transfers between co-located nodes.
+        remote_messages: Combined messages that crossed partitions
+            (one per (superstep, receiving node, sending partition) —
+            the Pregel combiner model).
+        remote_values: Raw values that crossed partitions before
+            combining (what a combiner-less system would send).
+        per_link: Combined messages per directed
+            ``(sender partition, receiver partition)`` pair.
+    """
+
+    supersteps: int = 0
+    local_transfers: int = 0
+    remote_messages: int = 0
+    remote_values: int = 0
+    per_link: Dict[Tuple[int, int], int] = field(default_factory=dict)
+
+    @property
+    def remote_fraction(self) -> float:
+        """Share of value transfers that crossed partitions."""
+        total = self.local_transfers + self.remote_values
+        if total == 0:
+            return 0.0
+        return self.remote_values / total
+
+    def count_round(self, partition: np.ndarray, senders: np.ndarray,
+                    receivers: np.ndarray) -> None:
+        """Account one superstep.
+
+        Args:
+            partition: Partition id per dense position.
+            senders: Dense position of the walker of every gathered
+                edge.
+            receivers: Dense position of the neighbour of every
+                gathered edge, aligned with *senders*.
+        """
+        self.supersteps += 1
+        sender_part = partition[senders]
+        receiver_part = partition[receivers]
+        remote = sender_part != receiver_part
+        remote_values = int(np.count_nonzero(remote))
+        self.local_transfers += int(senders.size) - remote_values
+        self.remote_values += remote_values
+        if not remote_values:
+            return
+        sender_part = sender_part[remote]
+        receivers = receivers[remote]
+        width = int(max(sender_part.max(), receiver_part[remote].max())) + 1
+        # The combiner merges every value bound for one receiver from
+        # one sending partition into a single message.
+        combined = np.unique(receivers * width + sender_part)
+        self.remote_messages += int(combined.size)
+        links, counts = np.unique(
+            (combined % width) * width + partition[combined // width],
+            return_counts=True)
+        per_link = self.per_link
+        for link, count in zip(links.tolist(), counts.tolist()):
+            key = (link // width, link % width)
+            per_link[key] = per_link.get(key, 0) + count
+
+
 @dataclass
 class DenseExploration:
     """Dense-array twin of :class:`~repro.core.exact.ScoreState`.
 
     Arrays are indexed by dense snapshot position; values are
     bitwise-identical to the reference engine's dicts (missing dict
-    entries ↔ zeros).
+    entries ↔ zeros). ``messages`` carries the cross-partition traffic
+    when the exploration ran with a partition (else ``None``).
     """
 
     source: int
@@ -517,20 +566,16 @@ class DenseExploration:
     topo_alphabeta: np.ndarray
     iterations: int
     converged: bool
+    messages: Optional[MessageStats] = None
 
     def to_state(self, snapshot: GraphSnapshot, topic: str) -> ScoreState:
         """Convert to the dict-based :class:`ScoreState` API shape."""
-        node_ids = snapshot.node_ids
-
-        def sparse(dense: np.ndarray) -> Dict[int, float]:
-            return {node_ids[i]: float(dense[i])
-                    for i in np.nonzero(dense)[0].tolist()}
-
         return ScoreState(
             source=self.source,
-            scores={topic: sparse(self.scores)},
-            topo_beta=sparse(self.topo_beta),
-            topo_alphabeta=sparse(self.topo_alphabeta),
+            scores={topic: dense_scores_to_dict(snapshot, self.scores)},
+            topo_beta=dense_scores_to_dict(snapshot, self.topo_beta),
+            topo_alphabeta=dense_scores_to_dict(snapshot,
+                                                self.topo_alphabeta),
             iterations=self.iterations,
             converged=self.converged,
         )
@@ -541,10 +586,10 @@ class QueryEngine:
 
     One instance per (snapshot, similarity, params) triple; per-topic
     label-similarity and authority arrays are built lazily on first use
-    and shared across queries, mirroring how
-    :class:`~repro.core.fast.SparseEngine` amortises its per-topic
+    (or up front by :meth:`warm`) and shared across queries, mirroring
+    how :class:`~repro.core.fast.SparseEngine` amortises its per-topic
     matrices. All reads go through the snapshot's shared CSR arrays —
-    nothing is copied.
+    nothing is copied, and nothing is kept per query.
     """
 
     def __init__(
@@ -559,15 +604,13 @@ class QueryEngine:
         self.params = params
         #: Dense-position → node id, for array-side ranking.
         self.node_ids_array = np.asarray(snapshot.node_ids, dtype=np.int64)
-        self._similarity = similarity
         self._authority = (authority if authority is not None
                            else snapshot.authority())
         self._sim_cache = (sim_cache if sim_cache is not None
                            else _MaxSimCache(similarity))
         self._label_sims: Dict[str, np.ndarray] = {}
-        self._sims_edge: Dict[str, np.ndarray] = {}
         self._auth: Dict[str, np.ndarray] = {}
-        self._keep_masks: Dict[frozenset, np.ndarray] = {}
+        self._absorbing_masks: Dict[frozenset, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def _label_similarities(self, topic: str) -> np.ndarray:
@@ -581,15 +624,6 @@ class QueryEngine:
             self._label_sims[topic] = sims
         return sims
 
-    def _edge_similarities(self, topic: str) -> np.ndarray:
-        """``maxsim(label(e), topic)`` per CSR edge slot (pre-gathered)."""
-        sims_edge = self._sims_edge.get(topic)
-        if sims_edge is None:
-            sims_edge = self._label_similarities(topic)[
-                self.snapshot.out_label_ids]
-            self._sims_edge[topic] = sims_edge
-        return sims_edge
-
     def _auth_values(self, topic: str) -> np.ndarray:
         """``auth(v, topic)`` per dense position."""
         auth = self._auth.get(topic)
@@ -601,30 +635,51 @@ class QueryEngine:
             self._auth[topic] = auth
         return auth
 
-    def _keep_mask(self,
-                   absorbing: Optional[frozenset]) -> Optional[np.ndarray]:
-        """``True`` where mass keeps walking (i.e. *not* absorbing)."""
-        if not absorbing:
-            return None
-        mask = self._keep_masks.get(absorbing)
+    def warm(self, topics: Sequence[str]) -> None:
+        """Build the per-topic arrays of *topics* now, not on first use."""
+        for topic in topics:
+            self._label_similarities(topic)
+            self._auth_values(topic)
+
+    def absorbing_mask(self, nodes: frozenset) -> np.ndarray:
+        """``True`` at the dense position of every node in *nodes*.
+
+        Cached per node set; callers that extend it (a degraded
+        request absorbing a down shard's range) must copy it first.
+        Nodes absent from the snapshot are ignored.
+        """
+        mask = self._absorbing_masks.get(nodes)
         if mask is None:
-            mask = np.ones(len(self.snapshot), dtype=bool)
+            mask = np.zeros(len(self.snapshot), dtype=bool)
             position = self.snapshot.position
-            for node in absorbing:
+            for node in nodes:
                 pos = position.get(node)
                 if pos is not None:
-                    mask[pos] = False
-            self._keep_masks[absorbing] = mask
+                    mask[pos] = True
+            self._absorbing_masks[nodes] = mask
         return mask
 
     # ------------------------------------------------------------------
     def explore(self, source: int, topic: str, depth: int,
-                absorbing: Optional[frozenset] = None) -> DenseExploration:
+                absorbing: Union[None, frozenset, np.ndarray] = None,
+                partition: Optional[np.ndarray] = None,
+                ) -> DenseExploration:
         """Depth-limited propagation from *source*, absorbed at landmarks.
 
         Replays :func:`~repro.core.exact.single_source_scores` (one
         topic, ``max_depth=depth``) with batched array rounds; see the
         module docstring for why the result is bitwise-identical.
+
+        Args:
+            source: Query node.
+            topic: Query topic.
+            depth: Round cap (``params.max_iter`` runs to convergence).
+            absorbing: Nodes whose mass is not propagated further — a
+                node-id set or a boolean mask over dense positions
+                (``True`` = absorbing). The source always propagates.
+            partition: Partition id per dense position; when given, the
+                rounds' cross-partition traffic is counted into the
+                result's ``messages``.
         """
         snapshot = self.snapshot
         n = len(snapshot)
@@ -633,11 +688,18 @@ class QueryEngine:
         beta = params.beta
         alphabeta = params.edge_decay
         edge_factor = params.beta * params.alpha
-        sims_edge = self._edge_similarities(topic)
+        label_sims = self._label_similarities(topic)
         auth = self._auth_values(topic)
-        keep = self._keep_mask(absorbing)
+        if isinstance(absorbing, np.ndarray):
+            keep: Optional[np.ndarray] = ~absorbing
+        elif absorbing:
+            keep = ~self.absorbing_mask(absorbing)
+        else:
+            keep = None
+        messages = MessageStats() if partition is not None else None
         indptr = snapshot.out_indptr
         indices = snapshot.out_indices
+        label_ids = snapshot.out_label_ids
 
         cum_r = np.zeros(n)
         cum_tb = np.zeros(n)
@@ -680,6 +742,8 @@ class QueryEngine:
                           + (starts - bases).repeat(counts))
             walker_per_edge = walkers.repeat(counts)
             neighbor = indices[edge_index]
+            if messages is not None:
+                messages.count_round(partition, walker_per_edge, neighbor)
 
             tb_edge = front_tb[walker_per_edge]
             tab_edge = front_tab[walker_per_edge]
@@ -692,7 +756,8 @@ class QueryEngine:
             # Left-to-right association matches the reference
             # expression ((tab·edge_factor)·maxsim)·auth; maxsim and
             # auth stay separate factors, never pre-multiplied.
-            semantic = (tab_edge * edge_factor * sims_edge[edge_index]
+            semantic = (tab_edge * edge_factor
+                        * label_sims[label_ids[edge_index]]
                         * auth[neighbor])
             increment = beta * r_edge + semantic
             next_r = np.zeros(n)
@@ -716,4 +781,5 @@ class QueryEngine:
             topo_alphabeta=cum_tab,
             iterations=iterations,
             converged=converged,
+            messages=messages,
         )

@@ -129,7 +129,7 @@ def render_markdown(report: Dict[str, Any],
                     chaos: Optional[Sequence[Dict[str, Any]]] = None) -> str:
     """GitHub-flavoured gate summary for ``$GITHUB_STEP_SUMMARY``.
 
-    Tables the bench stages, the per-engine query-latency p50/p99, the
+    Tables the bench stages, the per-stage query-latency p50/p99, the
     rollover gauges, and (when *chaos* verdict dicts are passed — the
     JSON the chaos-matrix cells upload) a per-cell chaos verdict row,
     so a reviewer reads the whole gate without downloading artifacts.
@@ -201,15 +201,14 @@ def render_markdown(report: Dict[str, Any],
         lines += [
             "### Chaos verdicts",
             "",
-            "| cell | det | engines | stale | degraded | verdict |",
-            "| --- | --- | --- | ---: | ---: | --- |",
+            "| cell | det | stale | degraded | verdict |",
+            "| --- | --- | ---: | ---: | --- |",
         ]
         for verdict in chaos:
             mark = "✅" if verdict.get("passed") else "❌"
             lines.append(
                 f"| `{verdict.get('cell', '?')}` "
                 f"| {'yes' if verdict.get('deterministic') else 'NO'} "
-                f"| {'agree' if verdict.get('engines_agree') else 'DISAGREE'} "
                 f"| {verdict.get('stale_errors', '?')} "
                 f"| {verdict.get('degraded_responses', '?')} "
                 f"| {mark} |")

@@ -83,10 +83,9 @@ def run_smoke(nodes: int = 0, seed: int = 0, landmarks: int = 0,
     meaningful for any of these knobs).
 
     The Algorithm-2 stage runs each query ``query_reps`` times through
-    *both* query engines (``dict`` reference and ``sparse``
-    vectorised) and reports per-engine p50/p99/mean/qps under the
-    ``latency`` report section — the numbers the CI gate holds against
-    ``benchmarks/baseline_ci.json``.
+    the landmark query engine and reports p50/p99/mean/qps under the
+    ``latency`` report section (``workload.query.sparse``) — the
+    numbers the CI gate holds against ``benchmarks/baseline_ci.json``.
     """
     # Imports are deferred so `import repro.obs` stays dependency-free
     # and cycle-free (core/landmarks import repro.obs at module load).
@@ -142,28 +141,24 @@ def run_smoke(nodes: int = 0, seed: int = 0, landmarks: int = 0,
             authority=authority, engine=engine)
 
         # Stage 3 — Algorithm 2 landmark-accelerated queries, timed
-        # per-query through both engines. The dict reference engine and
-        # the sparse vectorised engine answer bitwise-identically
-        # (pinned by the parity tests), so the latency section isolates
-        # the composition-engine speedup from any answer change.
+        # per query (the stage keeps its historical ``.sparse`` name:
+        # the vectorised engine is the only query engine).
         latencies: Dict[str, List[float]] = {}
-        for engine_name in ("dict", "sparse"):
-            recommender = ApproximateRecommender(
-                snapshot, similarity, index, authority=authority,
-                query_engine=engine_name)
-            # one untimed pass warms the engine's per-snapshot caches
-            # (CSR views, landmark vectors, stacked composition arrays)
+        recommender = ApproximateRecommender(
+            snapshot, similarity, index, authority=authority)
+        # one untimed pass warms the engine's per-snapshot caches
+        # (per-topic arrays, landmark vectors, stacked composition)
+        for query in query_nodes:
+            recommender.recommend(query, topic, top_n=10)
+        samples: List[float] = []
+        stage = "workload.query.sparse"
+        for _ in range(query_reps):
             for query in query_nodes:
-                recommender.recommend(query, topic, top_n=10)
-            samples: List[float] = []
-            stage = f"workload.query.{engine_name}"
-            for _ in range(query_reps):
-                for query in query_nodes:
-                    watch = rt.timed_span(stage)
-                    with watch:
-                        recommender.recommend(query, topic, top_n=10)
-                    samples.append(watch.elapsed)
-            latencies[stage] = samples
+                watch = rt.timed_span(stage)
+                with watch:
+                    recommender.recommend(query, topic, top_n=10)
+                samples.append(watch.elapsed)
+        latencies[stage] = samples
         latency = {name: _latency_summary(samples)
                    for name, samples in latencies.items()}
 
@@ -174,8 +169,7 @@ def run_smoke(nodes: int = 0, seed: int = 0, landmarks: int = 0,
         from ..distributed.sharded import ShardedPlatform
 
         platform = ShardedPlatform.build(
-            snapshot, similarity, index, num_shards=4, params=params,
-            authority=authority)
+            snapshot, similarity, index, num_shards=4, params=params)
         for query in query_nodes:
             platform.recommend(query, topic, top_n=10)
 
@@ -241,8 +235,7 @@ def run_smoke(nodes: int = 0, seed: int = 0, landmarks: int = 0,
             for backend in ("ram", "mmap"):
                 loaded = open_snapshot(snapshot_dir, store=backend)
                 recommender = ApproximateRecommender(
-                    loaded, similarity, index, authority=loaded.authority(),
-                    query_engine="sparse")
+                    loaded, similarity, index, authority=loaded.authority())
                 for query in query_nodes:  # untimed cache warm-up
                     recommender.recommend(query, topic, top_n=10)
                 samples = []

@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,11 +13,14 @@ from repro.distributed import (
     edge_cut_fraction,
     greedy_partition,
     hash_partition,
+    partition_array,
     topic_partition,
 )
 from repro.graph.builders import graph_from_edges
+from repro.landmarks import QueryEngine
 from repro.semantics import SimilarityMatrix, web_taxonomy
 from repro.semantics.vocabularies import WEB_TOPICS
+from tests.oracles import pregel_scores
 
 edges_strategy = st.lists(
     st.tuples(st.integers(0, 14), st.integers(0, 14)).filter(
@@ -49,19 +51,32 @@ class TestPartitionProperties:
     @given(edges_strategy)
     @settings(max_examples=20, deadline=None)
     def test_arbitrary_assignment_never_changes_scores(self, edges):
-        """The distributed engine's core contract, fuzzed: ANY node→
-        partition map yields the single-machine scores."""
+        """The partitioned engine's core contract, fuzzed: ANY node→
+        partition map yields the single-machine scores, and the
+        vectorised message counts equal the dict Pregel oracle's."""
         rng = random.Random(42)
         graph = _labeled(edges, seed=7)
         sim = SimilarityMatrix.from_taxonomy(web_taxonomy())
         params = ScoreParams(beta=0.05, max_iter=100, tolerance=1e-13)
-        assignment = {node: rng.randrange(4) for node in graph.nodes()}
+        snapshot = graph.snapshot()
+        engine = QueryEngine(snapshot, sim, params)
         source = sorted(graph.nodes())[0]
-        state, stats = distributed_single_source_scores(
-            graph, assignment, source, ["technology"], sim, params=params,
-            max_depth=5)
-        reference = single_source_scores(graph, source, ["technology"],
-                                         sim, params=params, max_depth=5)
-        assert state.scores["technology"] == pytest.approx(
-            reference.scores["technology"], abs=1e-12)
-        assert stats.remote_values + stats.local_transfers >= 0
+        for assignment in (hash_partition(graph, 3),
+                           greedy_partition(graph, 3, seed=1),
+                           {node: rng.randrange(4)
+                            for node in graph.nodes()}):
+            partition = partition_array(snapshot, assignment)
+            for max_depth in (0, 2, None):
+                exploration, stats = distributed_single_source_scores(
+                    engine, partition, source, "technology",
+                    max_depth=max_depth)
+                reference = single_source_scores(
+                    graph, source, ["technology"], sim, params=params,
+                    max_depth=max_depth)
+                _, expected = pregel_scores(
+                    graph, assignment, source, ["technology"], sim,
+                    params=params, max_depth=max_depth)
+                state = exploration.to_state(snapshot, "technology")
+                assert state.scores["technology"] == \
+                    reference.scores["technology"]
+                assert stats == expected

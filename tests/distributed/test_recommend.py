@@ -7,6 +7,7 @@ from repro.config import LandmarkParams
 from repro.datasets import generate_twitter_graph
 from repro.distributed import (
     DistributedLandmarkService,
+    QueryCost,
     greedy_partition,
     hash_partition,
 )
@@ -15,6 +16,7 @@ from repro.landmarks import (
     LandmarkIndex,
     select_landmarks,
 )
+from tests.oracles import approximate_ranking, compose, pregel_scores
 
 PARAMS = ScoreParams(beta=0.004)
 TOPIC = "technology"
@@ -48,37 +50,43 @@ class TestAnswerEquivalence:
                 assert ours == pytest.approx(theirs)
 
     def test_query_engines_agree_bitwise(self, world, web_sim):
-        """The sparse compose path changes latency, never answers or
-        the network-cost model."""
+        """The service's scores, ranking and network cost equal the
+        dict oracles' (Pregel walker + compose loop), bit for bit."""
         graph, index = world
         assignment = hash_partition(graph, 4)
-        by_engine = {
-            engine: DistributedLandmarkService(graph, assignment, web_sim,
-                                               index, query_engine=engine)
-            for engine in ("dict", "sparse")
-        }
+        service = DistributedLandmarkService(graph, assignment, web_sim,
+                                             index)
         users = [n for n in graph.nodes()
                  if graph.out_degree(n) >= 3
                  and n not in set(index.landmarks)][:5]
+        landmarks = frozenset(index.landmarks)
         for user in users:
             for depth in (0, 1, None):
-                scores_dict, cost_dict = (
-                    by_engine["dict"].scores_with_cost(user, TOPIC,
-                                                       depth=depth))
-                scores_sparse, cost_sparse = (
-                    by_engine["sparse"].scores_with_cost(user, TOPIC,
-                                                         depth=depth))
-                assert cost_dict == cost_sparse
-                # compare over the union: the engines may differ only
-                # in whether they *store* an exactly-zero entry
-                for node in set(scores_dict) | set(scores_sparse):
-                    assert (scores_sparse.get(node, 0.0)
-                            == scores_dict.get(node, 0.0))
-                ranked_dict = by_engine["dict"].recommend(user, TOPIC,
-                                                          top_n=10)
-                ranked_sparse = by_engine["sparse"].recommend(user, TOPIC,
-                                                              top_n=10)
-                assert ranked_dict.pairs() == ranked_sparse.pairs()
+                scores, cost = service.scores_with_cost(user, TOPIC,
+                                                        depth=depth)
+                explore_depth = (depth if depth is not None
+                                 else index.landmark_params.query_depth)
+                state, stats = pregel_scores(
+                    graph, assignment, user, [TOPIC], web_sim,
+                    params=index.params, max_depth=explore_depth,
+                    absorbing=landmarks)
+                expected, encountered = compose(
+                    state, TOPIC, user, explore_depth, sorted(landmarks),
+                    lambda landmark: index.recommendations(landmark, TOPIC))
+                assert scores == expected
+                remote = [landmark for landmark in encountered
+                          if assignment[landmark] != assignment[user]]
+                assert cost == QueryCost(
+                    propagation=stats,
+                    remote_landmarks=len(remote),
+                    local_landmarks=len(encountered) - len(remote),
+                    entries_transferred=sum(
+                        len(index.recommendations(landmark, TOPIC))
+                        for landmark in remote))
+                ranked = service.recommend(user, TOPIC, top_n=10,
+                                           depth=depth)
+                assert ranked.pairs() == approximate_ranking(
+                    graph, web_sim, index, user, TOPIC, depth=depth)
 
     def test_partitioner_choice_does_not_change_answers(self, world,
                                                         web_sim):

@@ -21,7 +21,9 @@ from repro.landmarks import (
     LandmarkIndex,
     select_landmarks,
 )
+from repro.landmarks.query_engine import LandmarkVectorCache
 from repro.obs import runtime as rt
+from tests.oracles import approximate_ranking
 
 PARAMS = ScoreParams(beta=0.004)
 TOPIC = "technology"
@@ -99,11 +101,13 @@ class TestRouter:
 
         graph, _ = world
         snapshot = graph.snapshot()
-        router = ShardRouter(snapshot, 4)
-        assignment = router.assignment()
-        expected = range_partition(snapshot, 4)
-        assert len(assignment) == snapshot.num_nodes
-        assert {node: assignment[node] for node in assignment} == expected
+        for num_shards in (1, 4, 7):
+            router = ShardRouter(snapshot, num_shards)
+            partition = router.partition()
+            expected = range_partition(snapshot, num_shards)
+            assert len(partition) == snapshot.num_nodes
+            assert partition.tolist() == [expected[node]
+                                          for node in snapshot.node_ids]
 
 
 class TestParity:
@@ -126,31 +130,29 @@ class TestParity:
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
     def test_query_engines_agree_bitwise(self, world, web_sim, query_users,
                                          num_shards):
-        """dict-composed and sparse-composed shards return identical
-        answers and identical cost accounting, both equal to the
-        single-machine reference path."""
+        """The sharded tier answers exactly like the dict oracle, and
+        its cost accounting covers exactly the landmarks the oracle
+        composed (home-shard lists local, the rest shipped)."""
+        from tests.oracles import approximate_scores
+
         graph, index = world
-        reference = ApproximateRecommender(graph, web_sim, index,
-                                           params=PARAMS,
-                                           query_engine="dict")
-        by_engine = {
-            engine: ShardedPlatform.build(graph, web_sim, index, num_shards,
-                                          params=PARAMS, query_engine=engine)
-            for engine in ("dict", "sparse")
-        }
-        assert by_engine["sparse"].query_engine == "sparse"
+        platform = ShardedPlatform.build(graph, web_sim, index, num_shards,
+                                         params=PARAMS)
+        router = platform.router
         for user in query_users:
-            expected = reference.recommend(user, TOPIC, top_n=10)
-            responses = {engine: platform.recommend(user, TOPIC, top_n=10)
-                         for engine, platform in by_engine.items()}
-            for engine, got in responses.items():
-                assert got.pairs() == expected.pairs(), (engine, user)
-            cost_dict = responses["dict"].cost
-            cost_sparse = responses["sparse"].cost
-            assert (cost_dict.local_landmarks, cost_dict.remote_landmarks,
-                    cost_dict.entries_transferred) == (
-                cost_sparse.local_landmarks, cost_sparse.remote_landmarks,
-                cost_sparse.entries_transferred)
+            got = platform.recommend(user, TOPIC, top_n=10)
+            assert got.pairs() == approximate_ranking(
+                graph, web_sim, index, user, TOPIC, params=PARAMS), user
+            _, encountered, _ = approximate_scores(
+                graph, web_sim, index, user, TOPIC, params=PARAMS)
+            home = router.shard_of(user)
+            remote = [landmark for landmark in encountered
+                      if router.shard_of(landmark) != home]
+            assert got.cost.local_landmarks == len(encountered) - len(remote)
+            assert got.cost.remote_landmarks == len(remote)
+            assert got.cost.entries_transferred == sum(
+                len(index.recommendations(landmark, TOPIC))
+                for landmark in remote)
 
     def test_cost_accounting_populated(self, world, web_sim, query_users):
         graph, index = world
@@ -262,6 +264,96 @@ class TestDegradation:
         assert response.pairs() == single.recommend(
             user, TOPIC, top_n=10).pairs()
         assert platform.channel.failures_total > 0
+
+
+class TestOracleParity:
+    """Bitwise parity with the dict oracle off the healthy path."""
+
+    @pytest.mark.parametrize("num_shards", [2, 7])
+    def test_down_shard_matches_oracle_with_lost_range(
+            self, world, web_sim, query_users, num_shards):
+        graph, index = world
+        platform = ShardedPlatform.build(graph, web_sim, index, num_shards,
+                                         params=PARAMS)
+        for user in query_users:
+            home = platform.router.shard_of(user)
+            down = next(shard for shard in range(num_shards)
+                        if shard != home
+                        and not platform.router.specs[shard].is_empty)
+            platform.mark_down(down)
+            try:
+                got = platform.recommend(user, TOPIC, top_n=10)
+            finally:
+                platform.mark_up(down)
+            lost = frozenset(platform.workers[down].node_ids)
+            assert got.degraded is True
+            assert got.pairs() == approximate_ranking(
+                graph, web_sim, index, user, TOPIC, params=PARAMS,
+                lost=lost), (user, down)
+
+    def test_failover_matches_oracle(self, world, web_sim, query_users):
+        graph, index = world
+        platform = ShardedPlatform.build(graph, web_sim, index, 4,
+                                         replicas=2, params=PARAMS)
+        for shard in range(platform.num_shards):
+            platform.mark_down(shard, replica=0)
+        for user in query_users:
+            got = platform.recommend(user, TOPIC, top_n=10)
+            assert got.degraded is False
+            assert got.pairs() == approximate_ranking(
+                graph, web_sim, index, user, TOPIC, params=PARAMS)
+
+    def test_post_flip_matches_oracle_on_new_epoch(self, web_sim):
+        from repro.dynamics import GraphStream, simulate_churn
+
+        graph = generate_twitter_graph(200, seed=12)
+        landmarks = select_landmarks(graph, "In-Deg", 8, rng=3)
+        index = LandmarkIndex.build(
+            graph, landmarks, [TOPIC], web_sim, params=PARAMS,
+            landmark_params=LandmarkParams(num_landmarks=8, top_n=60))
+        platform = ShardedPlatform.build(graph, web_sim, index, 3,
+                                         replicas=2, params=PARAMS)
+        users = [n for n in sorted(graph.nodes())
+                 if graph.out_degree(n) >= 3 and n not in set(landmarks)][:5]
+        for user in users:
+            platform.recommend(user, TOPIC, top_n=10)
+        GraphStream(graph).apply_all(simulate_churn(graph, 20, seed=4))
+        platform.rollover()
+        assert platform.epoch == graph.epoch
+        for user in users:
+            got = platform.recommend(user, TOPIC, top_n=10)
+            assert got.served_epoch == graph.epoch
+            assert got.pairs() == approximate_ranking(
+                graph, web_sim, platform.index, user, TOPIC, params=PARAMS)
+
+
+class TestNoPerRequestState:
+    def test_workers_hold_no_per_node_state(self, web_sim):
+        """2,000 distinct users later, every worker still holds only
+        what it was built with: its homed lists and their vectors,
+        bounded by landmarks × topics — nothing per node served."""
+        topics = [TOPIC, "sports"]
+        graph = generate_twitter_graph(2100, seed=21)
+        landmarks = select_landmarks(graph, "In-Deg", 12, rng=5)
+        index = LandmarkIndex.build(
+            graph, landmarks, topics, web_sim, params=PARAMS,
+            landmark_params=LandmarkParams(num_landmarks=12, top_n=40))
+        platform = ShardedPlatform.build(graph, web_sim, index, 4,
+                                         replicas=2, params=PARAMS)
+        users = sorted(graph.nodes())[:2000]
+        for i, user in enumerate(users):
+            platform.recommend(user, topics[i % 2], top_n=10)
+        bound = len(landmarks) * len(topics)
+        for replica_set in platform.replica_sets:
+            for worker in replica_set.replicas:
+                homed = len(worker.landmarks) * len(topics)
+                assert len(worker._vector_cache) <= homed
+                for name, value in vars(worker).items():
+                    if name == "node_ids":  # the shard's range, fixed
+                        continue
+                    if isinstance(value, (dict, list, set, tuple,
+                                          LandmarkVectorCache)):
+                        assert len(value) <= bound, (name, len(value))
 
 
 class TestEpochs:

@@ -1,8 +1,8 @@
 """Sharded serving on top of the ArrayStore seam.
 
-RAM-vs-mmap parity through the scatter-gather tier for both query
-engines and several shard counts, and the no-copy contract of
-``GraphSnapshot.out_slice`` that replica warm-up relies on.
+RAM-vs-mmap parity through the scatter-gather tier — for indexes built
+by either bulk engine and several shard counts, pinned to the dict
+oracle — and the no-copy contract of ``GraphSnapshot.out_slice``.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from repro.datasets import generate_twitter_graph
 from repro.distributed.sharded import ShardedPlatform
 from repro.graph import open_snapshot, save_snapshot
 from repro.landmarks import LandmarkIndex, select_landmarks
+from tests.oracles import approximate_ranking
 
 TOPIC = "technology"
 PARAMS = ScoreParams(beta=0.01, alpha=0.85)
@@ -39,16 +40,25 @@ class TestShardedParity:
     @pytest.mark.parametrize("engine", ["dict", "sparse"])
     def test_ram_and_mmap_answers_identical(self, served, web_sim,
                                             num_shards, engine):
-        _, index, queries, path = served
+        """*engine* is the bulk engine that built the index."""
+        original, index, queries, path = served
+        index = LandmarkIndex.build(
+            original, sorted(index.landmarks), [TOPIC], web_sim,
+            params=PARAMS, landmark_params=index.landmark_params,
+            engine=engine)
         answers = {}
         for store in ("ram", "mmap"):
             snapshot = open_snapshot(path, store=store)
             platform = ShardedPlatform.build(
                 snapshot, web_sim, index, num_shards=num_shards,
-                params=PARAMS, query_engine=engine)
+                params=PARAMS)
             answers[store] = [platform.recommend(q, TOPIC, top_n=10)
                               for q in queries]
         assert answers["ram"] == answers["mmap"]
+        assert [answer.pairs() for answer in answers["mmap"]] == [
+            approximate_ranking(original, web_sim, index, q, TOPIC,
+                                params=PARAMS)
+            for q in queries]
 
     def test_mmap_matches_rebuilt_snapshot(self, served, web_sim):
         snapshot, index, queries, path = served

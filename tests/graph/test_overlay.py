@@ -6,8 +6,9 @@ rebuilding ``LabeledSocialGraph.snapshot()`` from scratch **bitwise**
 — every CSR array, the interned label table, the topic vocabulary,
 the profiles, and the epoch counter. On top of the raw arrays, the
 recommendation rankings produced over the compacted base must be
-pinned for both ``query_engine=dict`` and ``sparse``, and identical
-when served through 1-, 2-, and 7-shard platforms.
+pinned for indexes built by both bulk engines (and equal the dict
+oracle), and identical when served through 1-, 2-, and 7-shard
+platforms.
 """
 
 import numpy as np
@@ -129,8 +130,10 @@ class TestRankingParity:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_rankings_pinned_per_engine(self, world, web_sim, engine):
         """The index built on the compacted base answers exactly like
-        the index built on the from-scratch rebuild, per engine."""
+        the index built on the from-scratch rebuild, per bulk engine,
+        and both equal the dict oracle."""
         from repro.landmarks import ApproximateRecommender
+        from tests.oracles import approximate_ranking
 
         compacted, rebuilt, landmarks, users = world
         kwargs = dict(
@@ -142,12 +145,14 @@ class TestRankingParity:
         theirs = LandmarkIndex.build(rebuilt, landmarks, [TOPIC], web_sim,
                                      engine=engine, **kwargs)
         mine = ApproximateRecommender(compacted, web_sim, ours,
-                                      params=PARAMS, query_engine=engine)
+                                      params=PARAMS)
         other = ApproximateRecommender(rebuilt, web_sim, theirs,
-                                       params=PARAMS, query_engine=engine)
+                                       params=PARAMS)
         for user in users:
-            assert mine.recommend(user, TOPIC, top_n=10).pairs() \
-                == other.recommend(user, TOPIC, top_n=10).pairs()
+            got = mine.recommend(user, TOPIC, top_n=10).pairs()
+            assert got == other.recommend(user, TOPIC, top_n=10).pairs()
+            assert got == approximate_ranking(compacted, web_sim, ours,
+                                              user, TOPIC, params=PARAMS)
 
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
     def test_shard_count_invariance(self, world, web_sim, num_shards):

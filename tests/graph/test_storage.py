@@ -133,12 +133,17 @@ class TestRankingParity:
     @pytest.mark.parametrize("engine", ["dict", "sparse"])
     def test_ram_and_mmap_rankings_bitwise_identical(
             self, medium_graph, snapshot_dir, web_sim, engine):
+        """*engine* is the bulk engine that built the index; both
+        backends must also match the dict oracle."""
+        from tests.oracles import approximate_ranking
+
         params = ScoreParams(beta=0.01, alpha=0.85)
         original = medium_graph.snapshot()
         landmarks = select_landmarks(original, "In-Deg", 12, rng=3)
         index = LandmarkIndex.build(
             original, landmarks, [TOPIC], web_sim, params=params,
-            landmark_params=LandmarkParams(num_landmarks=12, top_n=50))
+            landmark_params=LandmarkParams(num_landmarks=12, top_n=50),
+            engine=engine)
         queries = [n for n in original.nodes()
                    if original.out_degree(n) >= 2
                    and n not in set(landmarks)][:5]
@@ -146,11 +151,13 @@ class TestRankingParity:
         results = {}
         for store in ("ram", "mmap"):
             snapshot = open_snapshot(snapshot_dir, store=store)
-            recommender = ApproximateRecommender(
-                snapshot, web_sim, index, query_engine=engine)
+            recommender = ApproximateRecommender(snapshot, web_sim, index)
             results[store] = [recommender.recommend(q, TOPIC, top_n=10)
                               for q in queries]
         assert results["ram"] == results["mmap"]
+        assert [result.pairs() for result in results["mmap"]] == [
+            approximate_ranking(original, web_sim, index, q, TOPIC)
+            for q in queries]
 
     def test_loaded_matches_rebuilt(self, medium_graph, snapshot_dir,
                                     web_sim):

@@ -18,6 +18,7 @@ from repro.landmarks import (
     LandmarkIndex,
     select_landmarks,
 )
+from tests.oracles import approximate_ranking
 
 NODES = 30_000
 TOPIC = "technology"
@@ -50,8 +51,7 @@ class TestScaleSmoke:
         index = LandmarkIndex.build(
             snapshot, landmarks, [TOPIC], web_sim, params=PARAMS,
             landmark_params=LANDMARK_PARAMS, engine="dict")
-        recommender = ApproximateRecommender(
-            snapshot, web_sim, index, query_engine="dict")
+        recommender = ApproximateRecommender(snapshot, web_sim, index)
         served = 0
         for query in range(0, NODES, NODES // 40):
             if snapshot.out_degree(query) < 2 or query in set(landmarks):
@@ -75,9 +75,9 @@ class TestScaleSmoke:
                    if mapped.out_degree(q) >= 2
                    and q not in set(landmarks)][:5]
         for query in queries:
-            assert ApproximateRecommender(
-                mapped, web_sim, index, query_engine="dict").recommend(
-                    query, TOPIC, top_n=10) \
-                == ApproximateRecommender(
-                    resident, web_sim, index, query_engine="dict"
-                    ).recommend(query, TOPIC, top_n=10)
+            served = ApproximateRecommender(mapped, web_sim, index).recommend(
+                query, TOPIC, top_n=10)
+            assert served == ApproximateRecommender(
+                resident, web_sim, index).recommend(query, TOPIC, top_n=10)
+            assert served.pairs() == approximate_ranking(
+                mapped, web_sim, index, query, TOPIC)

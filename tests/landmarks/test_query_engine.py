@@ -1,7 +1,7 @@
 """Vectorized query engine: parity, cache correctness, staleness override.
 
-The sparse engine's contract is *bitwise* parity with the dict
-reference path — same floats, same ranking, same encountered
+The engine's contract is *bitwise* parity with the dict oracle in
+``tests/oracles`` — same floats, same ranking, same encountered
 landmarks — plus an epoch/version-keyed vector cache that can never
 serve stale arrays.
 """
@@ -17,10 +17,10 @@ from repro.landmarks.index import LandmarkEntry
 from repro.landmarks.query_engine import (
     LandmarkVectorCache,
     QueryEngine,
-    resolve_query_engine,
     vectors_from_entries,
 )
 from repro.landmarks.selection import select_landmarks
+from tests.oracles import approximate_ranking, approximate_scores
 
 PARAMS = ScoreParams(beta=0.004)
 TOPIC = "technology"
@@ -51,68 +51,49 @@ def query_users(world):
             and n not in set(index.landmarks)][:5]
 
 
-class TestResolveQueryEngine:
-    def test_auto_resolves_to_sparse(self):
-        assert resolve_query_engine("auto") == "sparse"
-
-    def test_explicit_names_pass_through(self):
-        assert resolve_query_engine("dict") == "dict"
-        assert resolve_query_engine("sparse") == "sparse"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_query_engine("turbo")
-
-
 class TestBitwiseParity:
-    """dict and sparse answers must be float-for-float identical."""
+    """Engine and dict oracle answers must be float-for-float identical."""
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3, None])
     def test_query_scores_identical(self, world, query_users, depth):
         graph, sim, index = world
-        ref = ApproximateRecommender(graph, sim, index, params=PARAMS,
-                                     query_engine="dict")
-        fast = ApproximateRecommender(graph, sim, index, params=PARAMS,
-                                      query_engine="sparse")
+        fast = ApproximateRecommender(graph, sim, index, params=PARAMS)
         for user in query_users:
-            expected = ref.query(user, TOPIC, depth=depth)
+            scores, encountered, state = approximate_scores(
+                graph, sim, index, user, TOPIC, depth=depth, params=PARAMS)
             got = fast.query(user, TOPIC, depth=depth)
-            assert got.landmarks_encountered == (
-                expected.landmarks_encountered)
-            assert set(got.scores) == set(expected.scores)
-            for node, value in expected.scores.items():
+            assert got.landmarks_encountered == tuple(encountered)
+            assert set(got.scores) == set(scores)
+            for node, value in scores.items():
                 assert got.scores[node] == value, (
                     user, depth, node, value.hex(), got.scores[node].hex())
+            assert got.exploration.topo_alphabeta == state.topo_alphabeta
+            assert got.exploration.iterations == state.iterations
 
     @pytest.mark.parametrize("exclude_followed", [True, False])
     def test_recommend_ranking_identical(self, world, query_users,
                                          exclude_followed):
         graph, sim, index = world
-        ref = ApproximateRecommender(graph, sim, index, params=PARAMS,
-                                     query_engine="dict")
-        fast = ApproximateRecommender(graph, sim, index, params=PARAMS,
-                                      query_engine="sparse")
+        fast = ApproximateRecommender(graph, sim, index, params=PARAMS)
         for user in query_users:
             for top_n in (5, 10, 50):
-                expected = ref.recommend(
-                    user, TOPIC, top_n=top_n,
-                    exclude_followed=exclude_followed)
+                expected = approximate_ranking(
+                    graph, sim, index, user, TOPIC, top_n=top_n,
+                    params=PARAMS, exclude_followed=exclude_followed)
                 got = fast.recommend(user, TOPIC, top_n=top_n,
                                      exclude_followed=exclude_followed)
-                assert got.pairs() == expected.pairs()
+                assert got.pairs() == expected
 
     def test_landmark_queries_own_list_at_depth_zero(self, world):
         """depth=0 composes the user's own stored list (topo_ab(u,u)=1);
-        both engines must agree on that edge case too."""
+        engine and oracle must agree on that edge case too."""
         graph, sim, index = world
-        ref = ApproximateRecommender(graph, sim, index, params=PARAMS,
-                                     query_engine="dict")
-        fast = ApproximateRecommender(graph, sim, index, params=PARAMS,
-                                      query_engine="sparse")
+        fast = ApproximateRecommender(graph, sim, index, params=PARAMS)
         landmark = sorted(index.landmarks)[0]
-        expected = ref.query(landmark, TOPIC, depth=0)
+        expected, _, _ = approximate_scores(graph, sim, index, landmark,
+                                            TOPIC, depth=0, params=PARAMS)
         got = fast.query(landmark, TOPIC, depth=0)
-        assert got.scores == expected.scores
+        assert got.scores == expected
         stored = {e.node: e.score
                   for e in index.recommendations(landmark, TOPIC)}
         for node, score in stored.items():
@@ -139,6 +120,32 @@ class TestBitwiseParity:
                 assert state.topo_beta == expected.topo_beta
                 assert state.topo_alphabeta == expected.topo_alphabeta
                 assert state.iterations == expected.iterations
+
+    def test_absorbing_mask_equals_node_set(self, world, query_users):
+        """A boolean position mask absorbs exactly like the node set it
+        marks (the sharded tier passes masks)."""
+        import numpy as np
+
+        graph, sim, index = world
+        snapshot = graph.snapshot()
+        engine = QueryEngine(snapshot, sim, PARAMS)
+        absorbing = frozenset(index.landmarks)
+        mask = engine.absorbing_mask(absorbing)
+        assert int(mask.sum()) == len(absorbing)
+        for user in query_users:
+            by_set = engine.explore(user, TOPIC, 3, absorbing=absorbing)
+            by_mask = engine.explore(user, TOPIC, 3, absorbing=mask)
+            for name in ("scores", "topo_beta", "topo_alphabeta"):
+                assert np.array_equal(getattr(by_set, name),
+                                      getattr(by_mask, name))
+
+    def test_warm_builds_per_topic_arrays_once(self, world, query_users):
+        graph, sim, _ = world
+        engine = QueryEngine(graph.snapshot(), sim, PARAMS)
+        engine.warm([TOPIC])
+        auth = engine._auth_values(TOPIC)
+        engine.explore(query_users[0], TOPIC, 2)
+        assert engine._auth_values(TOPIC) is auth
 
 
 class TestLandmarkVectorCache:
@@ -219,15 +226,13 @@ class TestCacheInvalidation:
     def test_set_recommendations_invalidates_cached_vectors(self):
         graph, sim, index = build_world(nodes=200, seed=9, num_landmarks=8,
                                         top_n=50)
-        ref = ApproximateRecommender(graph, sim, index, params=PARAMS,
-                                     query_engine="dict")
-        fast = ApproximateRecommender(graph, sim, index, params=PARAMS,
-                                      query_engine="sparse")
+        fast = ApproximateRecommender(graph, sim, index, params=PARAMS)
         user = next(n for n in sorted(graph.nodes())
                     if graph.out_degree(n) >= 2
                     and n not in set(index.landmarks))
         before = fast.recommend(user, TOPIC, top_n=10)
-        assert before.pairs() == ref.recommend(user, TOPIC, top_n=10).pairs()
+        assert before.pairs() == approximate_ranking(
+            graph, sim, index, user, TOPIC, params=PARAMS)
 
         # A maintainer-style in-place refresh: overwrite every list
         # with a single synthetic entry. Same epoch, new versions.
@@ -236,32 +241,29 @@ class TestCacheInvalidation:
             index.set_recommendations(landmark, TOPIC, [
                 LandmarkEntry(node=target, score=0.5, topo=0.25,
                               topo_ab=0.125)])
-        after_ref = ref.recommend(user, TOPIC, top_n=10)
         after_fast = fast.recommend(user, TOPIC, top_n=10)
-        assert after_fast.pairs() == after_ref.pairs()
+        assert after_fast.pairs() == approximate_ranking(
+            graph, sim, index, user, TOPIC, params=PARAMS)
         assert after_fast.pairs() != before.pairs()
 
     def test_epoch_bump_invalidates_cached_vectors(self):
         graph, sim, index = build_world(nodes=200, seed=9, num_landmarks=8,
                                         top_n=50)
-        ref = ApproximateRecommender(graph, sim, index, params=PARAMS,
-                                     query_engine="dict")
-        fast = ApproximateRecommender(graph, sim, index, params=PARAMS,
-                                      query_engine="sparse")
+        fast = ApproximateRecommender(graph, sim, index, params=PARAMS)
         user = next(n for n in sorted(graph.nodes())
                     if graph.out_degree(n) >= 2
                     and n not in set(index.landmarks))
         fast.recommend(user, TOPIC, top_n=10)
         epoch_before = graph.epoch
 
-        # Mutate the live graph: both recommenders re-pin the fresh
-        # snapshot on the next call and must still agree bitwise.
+        # Mutate the live graph: the recommender re-pins the fresh
+        # snapshot on the next call and must still match the oracle.
         nodes = sorted(graph.nodes())
         graph.add_edge(user, nodes[-1], [TOPIC])
         assert graph.epoch != epoch_before
-        after_ref = ref.recommend(user, TOPIC, top_n=10)
         after_fast = fast.recommend(user, TOPIC, top_n=10)
-        assert after_fast.pairs() == after_ref.pairs()
+        assert after_fast.pairs() == approximate_ranking(
+            graph, sim, index, user, TOPIC, params=PARAMS)
         assert after_fast.snapshot_epoch == graph.epoch
 
     def test_shared_cache_tracks_miss_then_hit(self):
@@ -269,7 +271,6 @@ class TestCacheInvalidation:
                                         top_n=50)
         cache = LandmarkVectorCache()
         fast = ApproximateRecommender(graph, sim, index, params=PARAMS,
-                                      query_engine="sparse",
                                       vector_cache=cache)
         user = next(n for n in sorted(graph.nodes())
                     if graph.out_degree(n) >= 2

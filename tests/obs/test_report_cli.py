@@ -79,16 +79,17 @@ class TestMarkdownSummary:
     def test_chaos_verdict_rows(self):
         report = tiny_report({"exact.single_source": 0.25})
         chaos = [{"cell": "r2-none-seed7", "passed": True,
-                  "deterministic": True, "engines_agree": True,
+                  "deterministic": True,
                   "stale_errors": 0, "degraded_responses": 0},
                  {"cell": "r1-down-replica-seed7", "passed": False,
-                  "deterministic": False, "engines_agree": True,
+                  "deterministic": False,
                   "stale_errors": 2, "degraded_responses": 5}]
         markdown = render_markdown(report, chaos=chaos)
         assert "### Chaos verdicts" in markdown
-        assert "| `r2-none-seed7` | yes | agree | 0 | 0 | ✅ |" in markdown
-        assert "| `r1-down-replica-seed7` | NO | agree | 2 | 5 | ❌ |" \
+        assert "| `r2-none-seed7` | yes | 0 | 0 | ✅ |" in markdown
+        assert "| `r1-down-replica-seed7` | NO | 2 | 5 | ❌ |" \
             in markdown
+        assert "engines" not in markdown
 
     def test_summary_subcommand_appends_to_out_file(self, tmp_path):
         report_path = tmp_path / "bench.json"
@@ -97,7 +98,6 @@ class TestMarkdownSummary:
         verdicts.write_text(json.dumps([{"cell": "r2-none-seed7",
                                          "passed": True,
                                          "deterministic": True,
-                                         "engines_agree": True,
                                          "stale_errors": 0,
                                          "degraded_responses": 0}]))
         out = tmp_path / "summary.md"
@@ -181,17 +181,16 @@ class TestSmokeWorkload:
         assert "exact.single_source" in stages
         assert "landmarks.build" in stages
         assert "approx.recommend" in stages
-        # dict + sparse engines, then the ram + mmap storage
-        # backends: each runs one warmup pass + query_reps timed passes
+        # the query stage, then the ram + mmap storage backends: each
+        # runs one warmup pass + query_reps timed passes
         assert report["counters"]["approx.queries_total"] \
-            == (2 + 2) * (1 + 2) * 3
+            == (1 + 2) * (1 + 2) * 3
         assert report["workload"]["nodes"] == 120
 
     def test_smoke_reports_per_engine_query_latency(self):
         report = run_smoke(nodes=120, landmarks=8, queries=3, query_reps=2)
         latency = report["latency"]
-        assert set(latency) == {"workload.query.dict",
-                                "workload.query.sparse",
+        assert set(latency) == {"workload.query.sparse",
                                 "workload.mmap.ram",
                                 "workload.mmap.mmap",
                                 "workload.ingest"}

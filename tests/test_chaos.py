@@ -37,7 +37,7 @@ class TestCellVerdicts:
     def test_healthy_cell_passes_with_no_degradation(self):
         verdict = run_cell(CellSpec(replicas=1, failure="none"))
         assert verdict.passed
-        assert verdict.deterministic and verdict.engines_agree
+        assert verdict.deterministic
         assert verdict.stale_errors == 0
         assert verdict.degraded_responses == 0
         assert verdict.parity_ok
@@ -97,7 +97,7 @@ class TestMarkdown:
     def test_render_includes_failure_reasons(self):
         failing = CellVerdict(
             spec=CellSpec(replicas=2, failure="none"),
-            digest="deadbeef", deterministic=False, engines_agree=True,
+            digest="deadbeef", deterministic=False,
             stale_errors=1, responses=10, degraded_responses=0,
             hedges_sent=0, hedges_won=0, parity_ok=True, passed=False,
             reasons=["ranking stream differs between identical seeded runs",

@@ -140,6 +140,24 @@ class TestIngest:
         assert "servable epoch" in captured.out
 
 
+class TestShard:
+    def test_serves_without_an_engine_knob(self, graph_file, capsys):
+        code = main(["shard", str(graph_file), "--user", "0",
+                     "--topic", "technology", "--shards", "2",
+                     "--count", "4"])
+        captured = capsys.readouterr()
+        assert code in (0, 1)  # 1 = no recommendation for this user
+        assert "shards=2" in captured.out
+        assert "engine=" not in captured.out
+
+    def test_query_engine_flag_is_gone(self, graph_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["shard", str(graph_file), "--user", "0",
+                  "--topic", "technology", "--query-engine", "dict"])
+        assert excinfo.value.code == 2
+        assert "--query-engine" in capsys.readouterr().err
+
+
 class TestLandmarks:
     def test_builds_and_saves_index(self, graph_file, tmp_path, capsys):
         out = tmp_path / "index.rplm"
