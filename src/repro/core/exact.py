@@ -19,8 +19,9 @@ Plus the Proposition 3 machinery: spectral-radius estimation and the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (Any, Callable, Dict, Iterable, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -39,39 +40,122 @@ from .scores import AuthorityIndex
 TopicScores = Dict[str, Dict[int, float]]
 
 
-@dataclass
 class ScoreState:
     """Cumulative result of a propagation from one source node.
 
+    Array-backed: one score column per topic plus the ``topo_β`` and
+    ``topo_{αβ}`` columns, each indexed by snapshot position (entry
+    ``i`` belongs to ``node_ids[i]``). The bulk engine hands over its
+    block columns as they are, so Algorithm 1 takes its top-n straight
+    from the arrays (:meth:`top_entries`) without a per-node dict.
+
     Attributes:
         source: The query node the propagation started from.
-        scores: Per topic, the recommendation vector ``σ(source, ·, t)``
-            over every reached node.
-        topo_beta: Katz topological scores ``topo_β(source, ·)``
-            (Eq. 2). The source's own entry includes the empty path
-            (value ≥ 1), matching the matrix form ``(I − βA)^{-1}``.
-        topo_alphabeta: Same with combined decay ``α·β`` — the
+        columns: Topic → score column ``σ(source, ·, topic)``.
+        topo_beta_column: Katz column ``topo_β(source, ·)`` (Eq. 2). The
+            source's own entry includes the empty path (value ≥ 1),
+            matching the matrix form ``(I − βA)^{-1}``.
+        topo_alphabeta_column: Same with combined decay ``α·β`` — the
             ``topo_{αβ}`` vector Prop. 1 and Prop. 4 need.
         iterations: Number of propagation rounds executed.
         converged: Whether the frontier mass fell below tolerance
             (always ``False`` for depth-capped query explorations that
             hit the cap first).
+
+    The dict properties :attr:`scores`, :attr:`topo_beta` and
+    :attr:`topo_alphabeta` are read-only views holding exactly the
+    nonzero entries, built on first access and cached.
     """
 
-    source: int
-    scores: TopicScores
-    topo_beta: Dict[int, float]
-    topo_alphabeta: Dict[int, float]
-    iterations: int = 0
-    converged: bool = False
+    __slots__ = ("source", "columns", "topo_beta_column",
+                 "topo_alphabeta_column", "iterations", "converged",
+                 "_node_ids", "_position", "_views")
 
+    def __init__(self, source: int, node_ids: Sequence[int],
+                 position: Mapping[int, int],
+                 columns: Mapping[str, np.ndarray],
+                 topo_beta_column: np.ndarray,
+                 topo_alphabeta_column: np.ndarray,
+                 iterations: int = 0, converged: bool = False) -> None:
+        self.source = source
+        self.columns = dict(columns)
+        self.topo_beta_column = topo_beta_column
+        self.topo_alphabeta_column = topo_alphabeta_column
+        self.iterations = iterations
+        self.converged = converged
+        self._node_ids = node_ids
+        self._position = position
+        self._views: Dict[str, Mapping[Any, Any]] = {}
+
+    @classmethod
+    def from_dicts(cls, snapshot: GraphSnapshot, source: int,
+                   scores: Mapping[str, Mapping[int, float]],
+                   topo_beta: Mapping[int, float],
+                   topo_alphabeta: Mapping[int, float],
+                   iterations: int = 0,
+                   converged: bool = False) -> "ScoreState":
+        """State of a dict-walking propagation over *snapshot*.
+
+        Every key must be a node of *snapshot*; absent nodes read 0.0.
+        """
+        position = snapshot.position
+        n = len(snapshot)
+
+        def column(values: Mapping[int, float]) -> np.ndarray:
+            array = np.zeros(n)
+            if values:
+                array[[position[node] for node in values]] = list(
+                    values.values())
+            return array
+
+        return cls(source, snapshot.node_ids, position,
+                   {topic: column(bucket) for topic, bucket in scores.items()},
+                   column(topo_beta), column(topo_alphabeta),
+                   iterations=iterations, converged=converged)
+
+    # ------------------------------------------------------------------
+    # dict views
+    # ------------------------------------------------------------------
+    def _view(self, key: str,
+              build: Callable[[], Dict[Any, Any]]) -> Mapping[Any, Any]:
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = MappingProxyType(build())
+        return view
+
+    @property
+    def scores(self) -> Mapping[str, Mapping[int, float]]:
+        """Per topic, node → ``σ(source, node, topic)`` over reached nodes."""
+        return self._view("scores", lambda: {
+            topic: MappingProxyType(_column_dict(self._node_ids, column))
+            for topic, column in self.columns.items()})
+
+    @property
+    def topo_beta(self) -> Mapping[int, float]:
+        """Node → ``topo_β(source, node)`` over reached nodes."""
+        return self._view("topo_beta", lambda: _column_dict(
+            self._node_ids, self.topo_beta_column))
+
+    @property
+    def topo_alphabeta(self) -> Mapping[int, float]:
+        """Node → ``topo_{αβ}(source, node)`` over reached nodes."""
+        return self._view("topo_alphabeta", lambda: _column_dict(
+            self._node_ids, self.topo_alphabeta_column))
+
+    # ------------------------------------------------------------------
     def score(self, node: int, topic: str) -> float:
         """``σ(source, node, topic)`` (0.0 for unreached nodes)."""
-        return self.scores.get(topic, {}).get(node, 0.0)
+        column = self.columns.get(topic)
+        index = self._position.get(node)
+        if column is None or index is None:
+            return 0.0
+        return float(column[index])
 
     def ranked(self, topic: str, top_n: Optional[int] = None,
                exclude: Iterable[int] = ()) -> list[Tuple[int, float]]:
         """Nodes ranked by descending score on *topic*.
+
+        Ties break by ascending node id. Only positive scores rank.
 
         Args:
             topic: Topic to rank on.
@@ -79,16 +163,63 @@ class ScoreState:
             exclude: Nodes to omit (typically the source and the
                 accounts it already follows).
         """
-        excluded = set(exclude)
-        entries = [
-            (node, value)
-            for node, value in self.scores.get(topic, {}).items()
-            if node not in excluded and value > 0.0
-        ]
-        entries.sort(key=lambda kv: (-kv[1], kv[0]))
+        nodes, _, values = self._top(topic, top_n, exclude)
+        return list(zip(nodes.tolist(), values.tolist()))
+
+    def top_entries(self, topic: str, top_n: Optional[int] = None,
+                    exclude: Iterable[int] = (),
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                               np.ndarray]:
+        """The :meth:`ranked` entries as aligned columns.
+
+        Returns:
+            ``(nodes, scores, topo, topo_ab)``: the ranked node ids and
+            their score, ``topo_β`` and ``topo_{αβ}`` values — the four
+            fields of a landmark's inverted-list entry.
+        """
+        nodes, positions, values = self._top(topic, top_n, exclude)
+        return (nodes, values, self.topo_beta_column[positions],
+                self.topo_alphabeta_column[positions])
+
+    def _top(self, topic: str, top_n: Optional[int],
+             exclude: Iterable[int],
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(node ids, positions, values)`` of the ranking, in order."""
+        column = self.columns.get(topic)
+        if column is None:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, np.zeros(0)
+        keep = column > 0.0
+        for node in exclude:
+            index = self._position.get(node)
+            if index is not None:
+                keep[index] = False
+        positions = np.flatnonzero(keep)
+        values = column[positions]
+        if top_n is not None and 0 < top_n < positions.size:
+            # The n-th best value bounds the answer; every entry tied
+            # with it stays a candidate so the node-id tie-break below
+            # picks among all of them.
+            cut = positions.size - top_n
+            boundary = np.partition(values, cut)[cut]
+            candidates = values >= boundary
+            positions = positions[candidates]
+            values = values[candidates]
+        node_ids = self._node_ids
+        nodes = np.fromiter((node_ids[i] for i in positions.tolist()),
+                            dtype=np.int64, count=positions.size)
+        order = np.lexsort((nodes, -values))
         if top_n is not None:
-            return entries[:top_n]
-        return entries
+            order = order[:top_n]
+        return nodes[order], positions[order], values[order]
+
+
+def _column_dict(node_ids: Sequence[int],
+                 column: np.ndarray) -> Dict[int, float]:
+    """Node → value over the nonzero entries of a per-position column."""
+    indices = np.flatnonzero(column).tolist()
+    return dict(zip([node_ids[i] for i in indices],
+                    column[indices].tolist()))
 
 
 class _MaxSimCache:
@@ -268,14 +399,9 @@ def single_source_scores(
             f"{params.max_iter} iterations (check β against Prop. 3)",
             iterations=iterations, residual=remaining)
 
-    return ScoreState(
-        source=source,
-        scores=cumulative_scores,
-        topo_beta=cumulative_tb,
-        topo_alphabeta=cumulative_tab,
-        iterations=iterations,
-        converged=converged,
-    )
+    return ScoreState.from_dicts(
+        snapshot, source, cumulative_scores, cumulative_tb, cumulative_tab,
+        iterations=iterations, converged=converged)
 
 
 # ----------------------------------------------------------------------
@@ -322,11 +448,6 @@ def semantic_edge_weights(
 # Matrix form (Equation 6) — ground truth on small graphs
 # ----------------------------------------------------------------------
 
-def _node_index(graph: GraphLike) -> Tuple[list, Dict[int, int]]:
-    snapshot = as_snapshot(graph, allow_stale=True)
-    return list(snapshot.node_ids), snapshot.position
-
-
 def adjacency_matrix(graph: GraphLike) -> np.ndarray:
     """Dense adjacency with ``A[v][u] = 1`` iff u follows v (paper's A)."""
     snapshot = as_snapshot(graph, allow_stale=True)
@@ -362,8 +483,8 @@ def matrix_scores(
     snapshot = as_snapshot(graph, allow_stale=True)
     if authority is None:
         authority = snapshot.authority()
-    nodes, index = list(snapshot.node_ids), snapshot.position
-    n = len(nodes)
+    index = snapshot.position
+    n = len(snapshot)
     adjacency = adjacency_matrix(snapshot)
     semantic = np.zeros((n, n))
     if snapshot.num_edges:
@@ -382,22 +503,9 @@ def matrix_scores(
         raise ConvergenceError(
             f"Eq. 6 system is singular for beta={params.beta}: {exc}") from exc
 
-    def to_dict(vector: np.ndarray, keep_zero_source: bool = False) -> Dict[int, float]:
-        result = {}
-        for node, position in index.items():
-            value = float(vector[position])
-            if value != 0.0 or (keep_zero_source and node == source):
-                result[node] = value
-        return result
-
-    return ScoreState(
-        source=source,
-        scores={topic: to_dict(recommendation)},
-        topo_beta=to_dict(topo_b, keep_zero_source=True),
-        topo_alphabeta=to_dict(topo_ab, keep_zero_source=True),
-        iterations=0,
-        converged=True,
-    )
+    return ScoreState(source, snapshot.node_ids, index,
+                      {topic: recommendation}, topo_b, topo_ab,
+                      iterations=0, converged=True)
 
 
 # ----------------------------------------------------------------------

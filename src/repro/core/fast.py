@@ -261,12 +261,18 @@ class SparseEngine:
                 live = np.nonzero(active)[0]
                 if live.size == 0:
                     break
+                # While every column is live the blocks are used as
+                # they are; gather/scatter starts once one freezes.
+                all_live = live.size == batch
                 with _obs.span("sparse.iteration") as _step:
                     if _step:
                         _step.set(live_columns=int(live.size))
-                    frontier_tb = tb[:, live]
-                    frontier_tab = tab[:, live]
-                    frontier_r = [block[:, live] for block in r]
+                    if all_live:
+                        frontier_tb, frontier_tab, frontier_r = tb, tab, r
+                    else:
+                        frontier_tb = tb[:, live]
+                        frontier_tab = tab[:, live]
+                        frontier_r = [block[:, live] for block in r]
                     if absorb_mask is not None:
                         columns = np.arange(live.size)
                         source_rows = position_array[live]
@@ -296,14 +302,21 @@ class SparseEngine:
                     new_mass = next_tb.sum(axis=0)
                     for block in next_r:
                         new_mass = new_mass + block.sum(axis=0)
-                    cumulative_tb[:, live] += next_tb
-                    cumulative_tab[:, live] += next_tab
-                    for i in range(len(topics)):
-                        cumulative_r[i][:, live] += next_r[i]
-                    tb[:, live] = next_tb
-                    tab[:, live] = next_tab
-                    for i in range(len(topics)):
-                        r[i][:, live] = next_r[i]
+                    if all_live:
+                        cumulative_tb += next_tb
+                        cumulative_tab += next_tab
+                        for i in range(len(topics)):
+                            cumulative_r[i] += next_r[i]
+                        tb, tab, r = next_tb, next_tab, next_r
+                    else:
+                        cumulative_tb[:, live] += next_tb
+                        cumulative_tab[:, live] += next_tab
+                        for i in range(len(topics)):
+                            cumulative_r[i][:, live] += next_r[i]
+                        tb[:, live] = next_tb
+                        tab[:, live] = next_tab
+                        for i in range(len(topics)):
+                            r[i][:, live] = next_r[i]
                     done = new_mass < params.tolerance
                     converged[live[done]] = True
                     active[live[done]] = False
@@ -325,24 +338,18 @@ class SparseEngine:
                 f"converge within {params.max_iter} iterations",
                 iterations=int(iterations.max()))
 
-        def to_dict(vector: np.ndarray) -> Dict[int, float]:
-            indices = np.nonzero(vector)[0]
-            return {self._nodes[int(i)]: float(vector[int(i)])
-                    for i in indices}
-
         with _obs.span("sparse.collect") as _collect:
-            states: List[ScoreState] = []
-            for column, source in enumerate(sources):
-                scores = {topic: to_dict(cumulative_r[i][:, column])
-                          for i, topic in enumerate(topics)}
-                states.append(ScoreState(
-                    source=source,
-                    scores=scores,
-                    topo_beta=to_dict(cumulative_tb[:, column]),
-                    topo_alphabeta=to_dict(cumulative_tab[:, column]),
-                    iterations=int(iterations[column]),
-                    converged=bool(converged[column]),
-                ))
+            # Each state keeps views of its own block columns — no copy.
+            states = [
+                ScoreState(source, self._nodes, self._position,
+                           {topic: cumulative_r[i][:, column]
+                            for i, topic in enumerate(topics)},
+                           cumulative_tb[:, column],
+                           cumulative_tab[:, column],
+                           iterations=int(iterations[column]),
+                           converged=bool(converged[column]))
+                for column, source in enumerate(sources)
+            ]
             if _collect:
                 _collect.set(states=len(states))
         return states

@@ -37,7 +37,7 @@ from ..core.scores import AuthorityIndex
 from ..errors import ConfigurationError
 from ..eval.metrics import kendall_tau_distance
 from ..graph.labeled_graph import LabeledSocialGraph
-from ..landmarks.index import LandmarkEntry, LandmarkIndex
+from ..landmarks.index import LandmarkIndex
 from .events import EdgeEvent
 
 __all__ = [
@@ -105,16 +105,11 @@ class _BaseMaintainer:
             state = single_source_scores(
                 self.graph, landmark, self.topics, self.similarity,
                 authority=authority, params=self.params)
-            for topic in self.topics:
-                ranked = state.ranked(
-                    topic, top_n=self.index.landmark_params.top_n,
-                    exclude=(landmark,))
-                self.index.set_recommendations(landmark, topic, [
-                    LandmarkEntry(node=node, score=score,
-                                  topo=state.topo_beta.get(node, 0.0),
-                                  topo_ab=state.topo_alphabeta.get(node, 0.0))
-                    for node, score in ranked
-                ])
+            per_topic = LandmarkIndex._entries_for(
+                state, landmark, self.topics,
+                self.index.landmark_params.top_n)
+            for topic, entries in per_topic.items():
+                self.index.set_recommendations(landmark, topic, entries)
             self._landmarks_rebuilt += 1
             self._sources_propagated += 1
             self.rebuilt_ever.add(landmark)

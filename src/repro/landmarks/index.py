@@ -169,15 +169,12 @@ class LandmarkIndex:
         """Turn one propagation state into per-topic inverted lists."""
         per_topic: Dict[str, List[LandmarkEntry]] = {}
         for topic in topics:
-            ranked = state.ranked(topic, top_n=top_n, exclude=(landmark,))
+            columns = state.top_entries(topic, top_n=top_n,
+                                        exclude=(landmark,))
             per_topic[topic] = [
-                LandmarkEntry(
-                    node=node,
-                    score=score,
-                    topo=state.topo_beta.get(node, 0.0),
-                    topo_ab=state.topo_alphabeta.get(node, 0.0),
-                )
-                for node, score in ranked
+                LandmarkEntry(node, score, topo, topo_ab)
+                for node, score, topo, topo_ab in zip(
+                    *(column.tolist() for column in columns))
             ]
         return per_topic
 

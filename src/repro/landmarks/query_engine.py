@@ -66,7 +66,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..config import ScoreParams
-from ..core.exact import ScoreState, _MaxSimCache
+from ..core.exact import ScoreState, _column_dict, _MaxSimCache
 from ..core.scores import AuthorityIndex
 from ..errors import ConfigurationError
 from ..graph.snapshot import GraphSnapshot
@@ -470,9 +470,7 @@ def compose_landmark_contributions(
 def dense_scores_to_dict(snapshot: GraphSnapshot,
                          dense: np.ndarray) -> Dict[int, float]:
     """Sparse node → score mapping of a dense per-position array."""
-    node_ids = snapshot.node_ids
-    return {node_ids[i]: float(dense[i])
-            for i in np.nonzero(dense)[0].tolist()}
+    return _column_dict(snapshot.node_ids, dense)
 
 
 # ----------------------------------------------------------------------
@@ -569,16 +567,11 @@ class DenseExploration:
     messages: Optional[MessageStats] = None
 
     def to_state(self, snapshot: GraphSnapshot, topic: str) -> ScoreState:
-        """Convert to the dict-based :class:`ScoreState` API shape."""
-        return ScoreState(
-            source=self.source,
-            scores={topic: dense_scores_to_dict(snapshot, self.scores)},
-            topo_beta=dense_scores_to_dict(snapshot, self.topo_beta),
-            topo_alphabeta=dense_scores_to_dict(snapshot,
-                                                self.topo_alphabeta),
-            iterations=self.iterations,
-            converged=self.converged,
-        )
+        """Wrap the arrays (no copy) in the :class:`ScoreState` API."""
+        return ScoreState(self.source, snapshot.node_ids, snapshot.position,
+                          {topic: self.scores}, self.topo_beta,
+                          self.topo_alphabeta, iterations=self.iterations,
+                          converged=self.converged)
 
 
 class QueryEngine:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.config import LandmarkParams, ScoreParams
+from repro.core.fast import scipy_available
 from repro.datasets import generate_twitter_graph
 from repro.distributed.sharded import ShardedPlatform
 from repro.graph import open_snapshot, save_snapshot
@@ -17,6 +18,9 @@ from tests.oracles import approximate_ranking
 
 TOPIC = "technology"
 PARAMS = ScoreParams(beta=0.01, alpha=0.85)
+# The sparse bulk engine needs scipy; the no-scipy leg runs the dict one.
+BULK_ENGINES = ["dict", pytest.param("sparse", marks=pytest.mark.skipif(
+    not scipy_available(), reason="scipy not installed"))]
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +41,7 @@ def served(tmp_path_factory, web_sim):
 
 class TestShardedParity:
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
-    @pytest.mark.parametrize("engine", ["dict", "sparse"])
+    @pytest.mark.parametrize("engine", BULK_ENGINES)
     def test_ram_and_mmap_answers_identical(self, served, web_sim,
                                             num_shards, engine):
         """*engine* is the bulk engine that built the index."""

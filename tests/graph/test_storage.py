@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.config import LandmarkParams, ScoreParams
+from repro.core.fast import scipy_available
 from repro.datasets import generate_twitter_graph
 from repro.errors import SnapshotFormatError
 from repro.graph import (
@@ -35,6 +36,9 @@ from repro.landmarks import (
 )
 
 TOPIC = "technology"
+# The sparse bulk engine needs scipy; the no-scipy leg runs the dict one.
+BULK_ENGINES = ["dict", pytest.param("sparse", marks=pytest.mark.skipif(
+    not scipy_available(), reason="scipy not installed"))]
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +134,7 @@ class TestRoundTrip:
 
 
 class TestRankingParity:
-    @pytest.mark.parametrize("engine", ["dict", "sparse"])
+    @pytest.mark.parametrize("engine", BULK_ENGINES)
     def test_ram_and_mmap_rankings_bitwise_identical(
             self, medium_graph, snapshot_dir, web_sim, engine):
         """*engine* is the bulk engine that built the index; both

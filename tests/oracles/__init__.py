@@ -9,13 +9,17 @@ second implementations they are checked against, bit for bit:
   message counting (:mod:`tests.oracles.pregel`);
 - :func:`compose` — the entry-by-entry Proposition-4 loop
   (:mod:`tests.oracles.compose`);
+- :func:`ranked` — the one-sort dict ranking that
+  ``ScoreState.ranked`` / ``top_entries`` replace with a partition
+  over the score column (:mod:`tests.oracles.ranking`);
 - :func:`approximate_scores` / :func:`approximate_ranking` — Algorithm
-  2 end to end on top of those two, optionally with lost shards (the
+  2 end to end on top of the walker and the compose loop, optionally with lost shards (the
   sharded tier's degraded path).
 """
 
 from .compose import approximate_ranking, approximate_scores, compose
 from .pregel import pregel_scores
+from .ranking import ranked
 
 __all__ = ["approximate_ranking", "approximate_scores", "compose",
-           "pregel_scores"]
+           "pregel_scores", "ranked"]

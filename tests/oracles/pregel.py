@@ -17,6 +17,7 @@ from repro.core.exact import ScoreState, _MaxSimCache
 from repro.core.scores import AuthorityIndex
 from repro.distributed import MessageStats
 from repro.errors import ConfigurationError
+from repro.graph.snapshot import as_snapshot
 from repro.semantics.matrix import SimilarityMatrix
 
 
@@ -129,12 +130,8 @@ def pregel_scores(
             converged = True
             break
 
-    state = ScoreState(
-        source=source,
-        scores=cumulative_scores,
-        topo_beta=cumulative_tb,
-        topo_alphabeta=cumulative_tab,
-        iterations=stats.supersteps,
-        converged=converged,
-    )
+    state = ScoreState.from_dicts(
+        as_snapshot(graph, allow_stale=True), source, cumulative_scores,
+        cumulative_tb, cumulative_tab, iterations=stats.supersteps,
+        converged=converged)
     return state, stats
