@@ -266,8 +266,8 @@ def single_source_scores(
             (Katz) propagation.
         similarity: Topic-similarity matrix.
         authority: Authority index; defaults to the snapshot's shared
-            one, so repeated calls over the same snapshot reuse one
-            warm auth memo.
+            one, so repeated calls over the same snapshot reuse its
+            per-topic authority columns.
         params: Decay factors and convergence knobs.
         max_depth: Cap on walk length. ``None`` runs to convergence
             (preprocessing mode); small values (2–3) give the
@@ -408,6 +408,23 @@ def single_source_scores(
 # Shared snapshot-backed edge weights
 # ----------------------------------------------------------------------
 
+def label_similarities(
+    snapshot: GraphSnapshot,
+    similarity: "SimilarityMatrix | _MaxSimCache",
+    topic: str,
+) -> np.ndarray:
+    """``maxsim(label, topic)`` per interned label id of *snapshot*.
+
+    Evaluated once per *distinct* label set (empty labels weigh 0);
+    *similarity* is the matrix itself or a :class:`_MaxSimCache` over
+    it, which returns the same values.
+    """
+    sims = np.empty(len(snapshot.labels))
+    for i, label in enumerate(snapshot.labels):
+        sims[i] = similarity.max_similarity(label, topic) if label else 0.0
+    return sims
+
+
 def semantic_edge_weights(
     snapshot: GraphSnapshot,
     similarity: SimilarityMatrix,
@@ -419,28 +436,19 @@ def semantic_edge_weights(
     One builder for every engine (Eq. 3 × authority, the entries of the
     per-topic matrix ``S_t``): the similarity is evaluated once per
     *distinct* label set and broadcast through the snapshot's interned
-    label ids, and authority once per distinct target node. The result
-    is aligned with the snapshot's in-CSR arrays — entry ``k`` weights
-    the edge ``in_indices[k] → in_edge_rows()[k]`` — so
+    label ids, and authority is gathered from the topic's authority
+    column through each edge's target row. The result is aligned with
+    the snapshot's in-CSR arrays — entry ``k`` weights the edge
+    ``in_indices[k] → in_edge_rows()[k]`` — so
     ``csr_matrix((weights, in_indices, in_indptr))`` is ``S_t`` sharing
     the adjacency's sparsity pattern, and
     ``dense[rows, cols] = weights`` is its dense form.
     """
-    label_sims = np.empty(len(snapshot.labels))
-    for i, label in enumerate(snapshot.labels):
-        label_sims[i] = (similarity.max_similarity(label, topic)
-                         if label else 0.0)
+    label_sims = label_similarities(snapshot, similarity, topic)
     if not len(snapshot.in_label_ids):
         return np.zeros(0)
     weights = label_sims[snapshot.in_label_ids]
-    nonzero = np.nonzero(weights)[0]
-    if nonzero.size:
-        rows = snapshot.in_edge_rows()
-        rows_nonzero = rows[nonzero]
-        auth_by_row = np.zeros(len(snapshot))
-        for row in np.unique(rows_nonzero).tolist():
-            auth_by_row[row] = authority.auth(snapshot.node_at(row), topic)
-        weights[nonzero] = weights[nonzero] * auth_by_row[rows_nonzero]
+    weights *= authority.column(topic, snapshot)[snapshot.in_edge_rows()]
     return weights
 
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..api import (Recommendation, RecommendationRequest,
                    RecommendationResponse)
 from ..config import ScoreParams, normalize_weights
@@ -40,10 +42,16 @@ Query = Union[str, Sequence[str], Mapping[str, float]]
 
 
 class _UnitAuthority(AuthorityIndex):
-    """Authority frozen at 1 — the Tr−auth ablation."""
+    """Authority frozen at 1 — the Tr−auth ablation.
 
-    def auth(self, node: int, topic: str) -> float:  # noqa: D102
-        return 1.0
+    Every column is all ones, so the scalar :meth:`auth` (dict engine)
+    and the column gather (sparse engine) agree.
+    """
+
+    def _build_column(self, topic: str) -> np.ndarray:
+        column = np.ones(len(self._resolve().node_ids))
+        column.flags.writeable = False
+        return column
 
 
 class _UnitSimilarity:
@@ -309,10 +317,8 @@ class Recommender:
     def invalidate(self) -> None:
         """Re-pin the snapshot after the graph was mutated in place."""
         self._snapshot = as_snapshot(self.graph, allow_stale=True)
-        if self.use_authority:
-            self._authority = self._snapshot.authority()
-        else:
-            self._authority.invalidate()
+        self._authority = (self._snapshot.authority() if self.use_authority
+                           else _UnitAuthority(self._snapshot))
         if self._sparse_engine is not None:
             from .fast import SparseEngine
 

@@ -18,15 +18,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence
+
+import numpy as np
 
 from ..config import ScoreParams
 from ..graph.labeled_graph import LabeledSocialGraph
 from ..semantics.matrix import SimilarityMatrix
 
 
+def _same_order(first: Sequence[int], second: Sequence[int]) -> bool:
+    """Whether two dense node orders are equal, whatever their container.
+
+    A store-backed snapshot numbers its nodes ``range(n)`` while a
+    graph-built or compacted one keeps a tuple; equal ids in equal
+    order are the same order either way.
+    """
+    if first is second:
+        return True
+    if len(first) != len(second):
+        return False
+    return bool(np.array_equal(np.asarray(first), np.asarray(second)))
+
+
 class AuthorityIndex:
-    """Cached per-(node, topic) authority scores.
+    """Per-topic authority columns over one frozen view.
 
     ``auth(u, t) = (|Γu(t)| / |Γu|) · log(1 + |Γu(t)|) / log(1 + max_v |Γv(t)|)``
 
@@ -39,17 +55,26 @@ class AuthorityIndex:
     :class:`~repro.graph.snapshot.GraphSnapshot`; either way the
     follower counts are read from a snapshot (resolved lazily from a
     live graph), so a propagation never sees counts change mid-run.
-    Prefer ``snapshot.authority()`` to share one warm index across
-    every scorer built from the same snapshot.
+    Prefer ``snapshot.authority()`` to share one index across every
+    scorer built from the same snapshot.
+
+    One topic's authority over every node is one vector expression
+    over the view's follower counts, so the index keeps exactly one
+    float64 :meth:`column` per topic (by dense position), plus — once
+    the scalar :meth:`auth` is used on that topic — the column as a
+    Python list, so a scalar lookup is a list index. Columns are built
+    lazily; building one twice from two threads is harmless (both
+    produce the same array), but :meth:`warm` builds them up front so
+    concurrent propagations only read. :meth:`invalidate` drops them.
     """
 
-    def __init__(self, graph) -> None:
+    def __init__(self, graph: Any) -> None:
         self._graph = graph
-        self._view = None
-        self._cache: Dict[Tuple[int, str], float] = {}
-        self._log_max: Dict[str, float] = {}
+        self._view: Any = None
+        self._columns: Dict[str, np.ndarray] = {}
+        self._lists: Dict[str, List[float]] = {}
 
-    def _resolve(self):
+    def _resolve(self) -> Any:
         """The frozen view counts are read from (snapshot when possible)."""
         view = self._view
         if view is None:
@@ -59,33 +84,54 @@ class AuthorityIndex:
             self._view = view
         return view
 
-    def _log_max_followers(self, topic: str) -> float:
-        cached = self._log_max.get(topic)
-        if cached is None:
-            cached = math.log1p(self._resolve().max_followers_on(topic))
-            self._log_max[topic] = cached
-        return cached
+    def column(self, topic: str, snapshot: Any = None) -> np.ndarray:
+        """``auth(v, topic)`` of every node, as a read-only float64 array.
+
+        Indexed by the dense position of the index's view — or, when
+        *snapshot* is given, of *snapshot* (re-gathered by node id if
+        its node order differs from the view's).
+
+        Bitwise equal to the scalar formula: the operation order is
+        ``(c / total) * (log1p(c) / log1p(max))``, and ``log1p`` is
+        ``math.log1p`` evaluated once per distinct count (NumPy's
+        vectorised ``log1p`` may differ from it in the last bit).
+        """
+        column = self._columns.get(topic)
+        if column is None:
+            column = self._build_column(topic)
+            self._columns[topic] = column
+        if snapshot is not None:
+            view = self._resolve()
+            if not _same_order(snapshot.node_ids, view.node_ids):
+                column = column[[view.index_of(node)
+                                 for node in snapshot.node_ids]]
+        return column
+
+    def _build_column(self, topic: str) -> np.ndarray:
+        view = self._resolve()
+        counts = view.follower_counts_column(topic)
+        column = np.zeros(len(counts))
+        followed = np.flatnonzero(counts)
+        if followed.size:
+            on_topic = counts[followed]
+            totals = np.diff(view.in_indptr)[followed]
+            # on_topic >= 1 implies the global max >= 1 too, so the
+            # normaliser is strictly positive here.
+            normaliser = math.log1p(view.max_followers_on(topic))
+            distinct, inverse = np.unique(on_topic, return_inverse=True)
+            logs = np.array([math.log1p(c) for c in distinct.tolist()])
+            column[followed] = ((on_topic / totals)
+                                * (logs[inverse] / normaliser))
+        column.flags.writeable = False
+        return column
 
     def auth(self, node: int, topic: str) -> float:
         """Authority of *node* on *topic*, in ``[0, 1]``."""
-        key = (node, topic)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        view = self._resolve()
-        followers_on_topic = view.follower_count_on(node, topic)
-        if followers_on_topic == 0:
-            value = 0.0
-        else:
-            total_followers = view.follower_count(node)
-            local = followers_on_topic / total_followers
-            normaliser = self._log_max_followers(topic)
-            # followers_on_topic >= 1 implies the global max >= 1 too,
-            # so the normaliser is strictly positive here.
-            global_popularity = math.log1p(followers_on_topic) / normaliser
-            value = local * global_popularity
-        self._cache[key] = value
-        return value
+        values = self._lists.get(topic)
+        if values is None:
+            values = self.column(topic).tolist()
+            self._lists[topic] = values
+        return values[self._resolve().index_of(node)]
 
     def local_authority(self, node: int, topic: str) -> float:
         """The specialisation factor alone (for ablation studies)."""
@@ -97,27 +143,22 @@ class AuthorityIndex:
 
     def global_popularity(self, node: int, topic: str) -> float:
         """The popularity factor alone (for ablation studies)."""
-        followers_on_topic = self._resolve().follower_count_on(node, topic)
+        view = self._resolve()
+        followers_on_topic = view.follower_count_on(node, topic)
         if followers_on_topic == 0:
             return 0.0
-        return math.log1p(followers_on_topic) / self._log_max_followers(topic)
+        return (math.log1p(followers_on_topic)
+                / math.log1p(view.max_followers_on(topic)))
 
     def warm(self, topics: Sequence[str]) -> None:
-        """Precompute authority for every node on the given topics.
-
-        After warming, lookups on these topics are pure dict reads —
-        worth doing once before fanning propagations out across
-        threads, so the memo dict is only read concurrently.
-        """
+        """Build the columns of *topics* now, not on first use."""
         for topic in topics:
-            self._log_max_followers(topic)
-            for node in self._resolve().nodes():
-                self.auth(node, topic)
+            self.column(topic)
 
     def invalidate(self) -> None:
-        """Drop caches (and re-resolve the view) after a graph mutation."""
-        self._cache.clear()
-        self._log_max.clear()
+        """Drop the columns (and re-resolve the view) after a mutation."""
+        self._columns.clear()
+        self._lists.clear()
         self._view = None
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..config import ScoreParams
-from ..core.scores import AuthorityIndex
 from ..landmarks.frontier import dirty_landmarks, refresh_landmarks
 from ..landmarks.index import LandmarkIndex
 from ..obs import runtime as _obs
@@ -152,7 +151,7 @@ class IncrementalMaintainer(_BaseMaintainer):
                         dirty=len(dirty), total=len(landmarks), full=full)
             refreshed = refresh_landmarks(
                 self.index, graph, dirty, self.topics, self.similarity,
-                authority=AuthorityIndex(graph), engine=self.engine)
+                engine=self.engine)
         if refreshed:
             self._landmarks_rebuilt += refreshed
             self._sources_propagated += refreshed
@@ -174,7 +173,7 @@ class IncrementalMaintainer(_BaseMaintainer):
             return
         refreshed = refresh_landmarks(
             self.index, self.graph, todo, self.topics, self.similarity,
-            authority=AuthorityIndex(self.graph), engine=self.engine)
+            engine=self.engine)
         self._landmarks_rebuilt += refreshed
         self._sources_propagated += refreshed
         self._rebuild_rounds += 1

@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Set
 from ..api import MaintenanceStats
 from ..config import ScoreParams
 from ..core.exact import single_source_scores
-from ..core.scores import AuthorityIndex
 from ..errors import ConfigurationError
 from ..eval.metrics import kendall_tau_distance
 from ..graph.labeled_graph import LabeledSocialGraph
@@ -100,11 +99,10 @@ class _BaseMaintainer:
         """Re-run Algorithm 1 for *landmarks* and refresh the lists."""
         if not landmarks:
             return
-        authority = AuthorityIndex(self.graph)
         for landmark in landmarks:
             state = single_source_scores(
                 self.graph, landmark, self.topics, self.similarity,
-                authority=authority, params=self.params)
+                params=self.params)
             per_topic = LandmarkIndex._entries_for(
                 state, landmark, self.topics,
                 self.index.landmark_params.top_n)
@@ -241,13 +239,12 @@ def measure_staleness(
     """
     params = params if params is not None else index.params
     landmarks = list(sample) if sample is not None else list(index.landmarks)
-    authority = AuthorityIndex(graph)
     distances: List[float] = []
     for landmark in landmarks:
         stored = [entry.node
                   for entry in index.recommendations(landmark, topic)][:top_k]
         state = single_source_scores(graph, landmark, [topic], similarity,
-                                     authority=authority, params=params)
+                                     params=params)
         fresh = [node for node, _ in state.ranked(topic, top_n=top_k,
                                                   exclude=(landmark,))]
         distances.append(kendall_tau_distance(stored, fresh))

@@ -321,6 +321,10 @@ class DeltaSnapshot:
             return counts
         return self.base.follower_topic_counts(node)
 
+    def follower_counts_column(self, topic: str) -> np.ndarray:
+        """``|Γv(t)|`` by dense position of the current CSR view."""
+        return self.csr_view().follower_counts_column(topic)
+
     def max_followers_on(self, topic: str) -> int:
         """``max_v |Γv(t)|`` — recomputed lazily after overlay writes."""
         cache = self._max_cache

@@ -339,8 +339,8 @@ class GraphSnapshot:
         """The shared :class:`~repro.core.scores.AuthorityIndex`.
 
         One cached instance per snapshot, so every scorer built from
-        the same snapshot reuses one warm auth memo instead of each
-        constructing its own.
+        the same snapshot reuses one set of per-topic authority columns
+        instead of each computing its own.
         """
         authority = self._authority
         if authority is None:
@@ -453,6 +453,21 @@ class GraphSnapshot:
     def follower_topic_counts(self, node: int) -> Mapping[str, int]:
         """All per-topic follower counts of *node* (zero counts omitted)."""
         return self._follower_counts[self.index_of(node)]
+
+    def follower_counts_column(self, topic: str) -> np.ndarray:
+        """``|Γv(t)|`` of every node, as an int64 array by dense position.
+
+        Store-backed snapshots scatter it from the follower-count CSR;
+        graph-built and compacted ones read one dict entry per node.
+        """
+        counts = self._follower_counts
+        if isinstance(counts, CsrCountsSequence):
+            topic_id = self.topic_ids.get(topic)
+            if topic_id is None:
+                return np.zeros(len(self.node_ids), dtype=np.int64)
+            return counts.column(topic_id)
+        return np.fromiter((row.get(topic, 0) for row in counts),
+                           dtype=np.int64, count=len(counts))
 
     def max_followers_on(self, topic: str) -> int:
         """``max_v |Γv(t)|`` — global popularity normaliser (Section 3.2)."""

@@ -638,6 +638,21 @@ class CsrCountsSequence(Sequence):
                             self._counts[start:stop].tolist())
         }
 
+    def column(self, topic_id: int) -> np.ndarray:
+        """Every node's count on one topic id, as an int64 array.
+
+        One scatter over the CSR instead of a dict decode per row: a
+        topic occurs at most once per row, so each matching entry
+        lands on its own node.
+        """
+        n = len(self._indptr) - 1
+        column = np.zeros(n, dtype=np.int64)
+        hits = np.flatnonzero(np.asarray(self._topic_ids) == topic_id)
+        if hits.size:
+            rows = np.searchsorted(self._indptr, hits, side="right") - 1
+            column[rows] = self._counts[hits]
+        return column
+
 
 def encode_topic_csr(rows: Sequence, topic_ids: Mapping[str, int],
                      counts: bool = False

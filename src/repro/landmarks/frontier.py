@@ -114,8 +114,9 @@ def refresh_landmarks(
         landmarks: The (dirty) landmarks to re-propagate.
         topics: Topic vocabulary the index maintains.
         similarity: Topic-similarity matrix.
-        authority: Shared authority cache (created over *graph* if
-            omitted — it must reflect the post-event counts).
+        authority: Shared authority index (*graph*'s snapshot's own,
+            ``as_snapshot(graph).authority()``, if omitted — it must
+            reflect the post-event counts).
         engine: Engine override; defaults to the engine that built the
             index (``index.engine_used``), falling back to ``"auto"``.
         batch_size: Sources per block for the sparse engine.
@@ -128,8 +129,6 @@ def refresh_landmarks(
         return 0
     resolved = resolve_engine(engine if engine is not None
                               else index.engine_used or "auto")
-    shared_authority = (authority if authority is not None
-                        else AuthorityIndex(graph))
     max_depth = index.landmark_params.precompute_depth
     top_n = index.landmark_params.top_n
     topic_list = list(topics)
@@ -139,7 +138,7 @@ def refresh_landmarks(
             _sp.set(landmarks=len(todo), engine=resolved)
         if resolved == "sparse":
             sparse = SparseEngine(graph, similarity, index.params,
-                                  authority=shared_authority)
+                                  authority=authority)
             block_size = batch_size if batch_size is not None \
                 else EngineParams().batch_size
             for start in range(0, len(todo), block_size):
@@ -156,7 +155,7 @@ def refresh_landmarks(
             for landmark in todo:
                 state = single_source_scores(
                     graph, landmark, topic_list, similarity,
-                    authority=shared_authority, params=index.params,
+                    authority=authority, params=index.params,
                     max_depth=max_depth, sim_cache=sim_cache)
                 per_topic = LandmarkIndex._entries_for(
                     state, landmark, topic_list, top_n)

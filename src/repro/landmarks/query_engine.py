@@ -66,7 +66,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..config import ScoreParams
-from ..core.exact import ScoreState, _column_dict, _MaxSimCache
+from ..core.exact import (ScoreState, _column_dict, _MaxSimCache,
+                          label_similarities)
 from ..core.scores import AuthorityIndex
 from ..errors import ConfigurationError
 from ..graph.snapshot import GraphSnapshot
@@ -610,21 +611,15 @@ class QueryEngine:
         """``maxsim(label, topic)`` per interned label id."""
         sims = self._label_sims.get(topic)
         if sims is None:
-            cache = self._sim_cache
-            sims = np.empty(len(self.snapshot.labels))
-            for i, label in enumerate(self.snapshot.labels):
-                sims[i] = cache.max_similarity(label, topic) if label else 0.0
+            sims = label_similarities(self.snapshot, self._sim_cache, topic)
             self._label_sims[topic] = sims
         return sims
 
     def _auth_values(self, topic: str) -> np.ndarray:
-        """``auth(v, topic)`` per dense position."""
+        """``auth(v, topic)`` per dense position (the authority column)."""
         auth = self._auth.get(topic)
         if auth is None:
-            authority = self._authority
-            auth = np.empty(len(self.snapshot))
-            for i, node in enumerate(self.snapshot.node_ids):
-                auth[i] = authority.auth(node, topic)
+            auth = self._authority.column(topic, self.snapshot)
             self._auth[topic] = auth
         return auth
 

@@ -16,8 +16,11 @@ import math
 import random
 from typing import Any, Callable, Dict, List, Sequence
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..graph.labeled_graph import LabeledSocialGraph
+from ..graph.snapshot import GraphSnapshot
 from ..graph.traversal import bfs_levels
 from ..utils.rng import SeedLike, rng_from_seed
 
@@ -84,20 +87,37 @@ def select_publish(graph: LabeledSocialGraph, count: int,  # repro: ignore[W4] -
     return _weighted_sample(rng_from_seed(rng), weighted, count)
 
 
+def _top_by_degree(graph: Any, count: int, out: bool) -> List[int]:
+    """The *count* nodes of highest in- (or out-) degree, ties by id.
+
+    A snapshot's degrees come straight from its CSR ``indptr``; other
+    views are asked node by node. Either way one ``lexsort`` ranks.
+    """
+    _check_count(graph, count)
+    if isinstance(graph, GraphSnapshot):
+        node_ids = np.asarray(graph.node_ids, dtype=np.int64)
+        degree = np.diff(graph.out_indptr if out else graph.in_indptr)
+    else:
+        nodes = list(graph.nodes())
+        node_ids = np.asarray(nodes, dtype=np.int64)
+        degree_of = graph.out_degree if out else graph.in_degree
+        degree = np.fromiter((degree_of(node) for node in nodes),
+                             dtype=np.int64, count=len(nodes))
+    order = np.lexsort((node_ids, -degree))
+    ranked: List[int] = node_ids[order[:count]].tolist()
+    return ranked
+
+
 def select_in_degree(graph: LabeledSocialGraph, count: int,
                      rng: SeedLike = None) -> List[int]:
     """``In-Deg``: the *count* most-followed accounts."""
-    _check_count(graph, count)
-    ranked = sorted(graph.nodes(), key=lambda n: (-graph.in_degree(n), n))
-    return ranked[:count]
+    return _top_by_degree(graph, count, out=False)
 
 
 def select_out_degree(graph: LabeledSocialGraph, count: int,
                       rng: SeedLike = None) -> List[int]:
     """``Out-Deg``: the *count* most-active readers."""
-    _check_count(graph, count)
-    ranked = sorted(graph.nodes(), key=lambda n: (-graph.out_degree(n), n))
-    return ranked[:count]
+    return _top_by_degree(graph, count, out=True)
 
 
 def _percentile_band(values: List[int], low: float, high: float) -> tuple[int, int]:

@@ -148,6 +148,43 @@ class TestVariants:
                                     use_authority=False)
         assert ablated_after.score(0, 2, "technology") == pytest.approx(before)
 
+    @pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
+    def test_tr_auth_engines_agree(self, world, web_sim):
+        """The sparse engine gathers authority by column; the ablation
+        must freeze that column at 1 as the dict engine's scalar does."""
+        graph, _ = world
+        params = ScoreParams(beta=0.2)
+        states = {
+            engine: Recommender(graph, web_sim, params, use_authority=False,
+                                engine=engine).state_for(0, ["technology"])
+            for engine in ("dict", "sparse")}
+        full = Recommender(graph, web_sim, params, engine="sparse").state_for(
+            0, ["technology"])
+        dict_scores = states["dict"].scores["technology"]
+        sparse_scores = states["sparse"].scores["technology"]
+        assert set(sparse_scores) == set(dict_scores)
+        for node, score in dict_scores.items():
+            assert sparse_scores[node] == pytest.approx(score, abs=1e-12)
+        assert any(sparse_scores[node] != pytest.approx(score, abs=1e-12)
+                   for node, score in full.scores["technology"].items())
+
+    @pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
+    def test_tr_auth_sparse_ignores_authority(self, world, web_sim):
+        graph, _ = world
+        params = ScoreParams(beta=0.2)
+        ablated = Recommender(graph.copy(), web_sim, params,
+                              use_authority=False, engine="sparse")
+        before = ablated.score(0, 2, "technology")
+        mutated = graph.copy()
+        mutated.add_edge(7, 2, ["technology"])
+        after = Recommender(mutated, web_sim, params, use_authority=False,
+                            engine="sparse")
+        assert after.score(0, 2, "technology") == pytest.approx(before)
+        # In place, with a new node, through invalidate().
+        ablated.graph.add_edge(7, 2, ["technology"])
+        ablated.invalidate()
+        assert ablated.score(0, 2, "technology") == pytest.approx(before)
+
     def test_tr_sim_ignores_label_semantics(self, world, web_sim):
         """With similarity frozen, relabeling an edge to a semantically
         distant (but non-empty) topic must not change scores."""

@@ -3,19 +3,27 @@
 The sparse build and the incremental refresh take each landmark's
 top-n from ``ScoreState.top_entries`` and never materialise a per-node
 dict; the stored lists must still equal the one-sort dict ranking of
-the same states bit for bit, ties at the cutoff included.
+the same states bit for bit, ties at the cutoff included. Authority
+on that path comes from one per-topic column built over the
+follower-count CSR, never from a per-node decode of it, and the
+authority index holds nothing but those columns.
 """
 
+import numpy as np
 import pytest
 
 from repro import ScoreParams
 from repro.config import LandmarkParams
 from repro.core import exact
 from repro.core.fast import SparseEngine, scipy_available
+from repro.core.scores import AuthorityIndex
 from repro.datasets import generate_twitter_graph
+from repro.graph import storage
 from repro.graph.builders import graph_from_edges
+from repro.graph.io import open_snapshot, save_snapshot
 from repro.landmarks import LandmarkIndex
 from repro.landmarks.frontier import refresh_landmarks
+from repro.landmarks.query_engine import QueryEngine
 from tests.oracles import ranked as oracle_ranked
 
 pytestmark = pytest.mark.skipif(not scipy_available(),
@@ -131,3 +139,48 @@ class TestBulkPathMatchesDictRanking:
                                     engine="sparse", batch_size=4)
         for (landmark, topic), entries in expected.items():
             assert _hexed(index.recommendations(landmark, topic)) == entries
+
+
+class TestBulkPathReadsNoAuthorityRow:
+    def test_build_warm_and_refresh_never_decode_a_count_row(
+            self, web_sim, monkeypatch, tmp_path):
+        save_snapshot(generate_twitter_graph(300, seed=5).snapshot(),
+                      tmp_path / "snap")
+        mapped = open_snapshot(tmp_path / "snap", store="mmap")
+        landmarks = [3, 14, 15, 92]
+        landmark_params = LandmarkParams(num_landmarks=4, top_n=15)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("bulk path decoded a follower-count row")
+
+        monkeypatch.setattr(storage.CsrCountsSequence, "__getitem__", refuse)
+        index = LandmarkIndex.build(mapped, landmarks, TOPICS, web_sim,
+                                    params=PARAMS,
+                                    landmark_params=landmark_params,
+                                    engine="sparse", batch_size=3)
+        QueryEngine(mapped, web_sim, PARAMS).warm(TOPICS)
+        assert refresh_landmarks(index, mapped, landmarks[:3], TOPICS,
+                                 web_sim, engine="sparse") == 3
+        assert all(index.recommendations(landmark, topic)
+                   for landmark in landmarks for topic in TOPICS)
+        # The patch is live: a per-node count read would have tripped it.
+        with pytest.raises(AssertionError):
+            mapped.follower_count_on(3, "technology")
+
+    def test_authority_retains_one_column_per_topic(self):
+        snapshot = generate_twitter_graph(300, seed=5).snapshot()
+        authority = AuthorityIndex(snapshot)
+        topics = sorted(snapshot.topics())
+        for topic in topics:
+            for node in snapshot.nodes():
+                authority.auth(node, topic)
+        n = len(snapshot)
+        state = vars(authority)
+        assert set(state) == {"_graph", "_view", "_columns", "_lists"}
+        assert state["_view"] is snapshot
+        assert sorted(state["_columns"]) == topics
+        assert sorted(state["_lists"]) == topics
+        for topic in topics:
+            column = state["_columns"][topic]
+            assert isinstance(column, np.ndarray) and column.shape == (n,)
+            assert state["_lists"][topic] == column.tolist()

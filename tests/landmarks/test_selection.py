@@ -4,6 +4,9 @@ import pytest
 
 from repro.datasets import generate_twitter_graph
 from repro.errors import ConfigurationError
+from repro.graph.builders import graph_from_edges
+from repro.graph.io import open_snapshot, save_snapshot
+from repro.graph.overlay import DeltaSnapshot
 from repro.landmarks.selection import (
     STRATEGIES,
     select_between_followers,
@@ -14,6 +17,7 @@ from repro.landmarks.selection import (
     select_out_degree,
     select_random,
 )
+from tests.oracles import top_by_degree
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +73,44 @@ class TestDegreeStrategies:
         uniform = select_random(graph, 30, rng=1)
         mean = lambda nodes: sum(graph.in_degree(n) for n in nodes) / len(nodes)
         assert mean(popular) > mean(uniform)
+
+
+class TestDegreeRankingMatchesOracle:
+    """The CSR ``lexsort`` picks the key-function sort's exact list."""
+
+    @staticmethod
+    def _views(graph, tmp_path):
+        save_snapshot(graph.snapshot(), tmp_path / "snap")
+        return {
+            "live": graph,
+            "graph-built": graph.snapshot(),
+            "ram": open_snapshot(tmp_path / "snap", store="ram"),
+            "mmap": open_snapshot(tmp_path / "snap", store="mmap"),
+            "overlay": DeltaSnapshot(graph.snapshot()),
+        }
+
+    @pytest.mark.parametrize("count", [1, 7, 40, 300])
+    def test_generated_graph(self, graph, tmp_path, count):
+        for name, view in self._views(graph, tmp_path).items():
+            assert select_in_degree(view, count) == top_by_degree(
+                graph, count), name
+            assert select_out_degree(view, count) == top_by_degree(
+                graph, count, out=True), name
+
+    def test_ties_break_by_node_id_with_sparse_ids(self, tmp_path):
+        # Ids 40..10 descending; every target has two followers, so
+        # the whole ranking is decided by the id tie-break.
+        edges = [(40, 10, ["food"]), (30, 10, ["food"]),
+                 (40, 20, ["food"]), (30, 20, ["food"]),
+                 (10, 30, ["food"]), (20, 30, ["food"]),
+                 (10, 40, ["food"]), (20, 40, ["food"])]
+        graph = graph_from_edges(edges)
+        for name, view in self._views(graph, tmp_path).items():
+            for count in (1, 2, 3, 4):
+                assert select_in_degree(view, count) == [10, 20, 30, 40][
+                    :count], name
+                assert select_out_degree(view, count) == top_by_degree(
+                    graph, count, out=True), name
 
 
 class TestBandStrategies:

@@ -14,12 +14,20 @@ second implementations they are checked against, bit for bit:
   over the score column (:mod:`tests.oracles.ranking`);
 - :func:`approximate_scores` / :func:`approximate_ranking` — Algorithm
   2 end to end on top of the walker and the compose loop, optionally with lost shards (the
-  sharded tier's degraded path).
+  sharded tier's degraded path);
+- :func:`auth` — the per-node authority formula that
+  ``AuthorityIndex.column`` computes once per topic in numpy
+  (:mod:`tests.oracles.authority`);
+- :func:`top_by_degree` — the key-function sort that degree-ranked
+  landmark selection replaces with a ``lexsort`` over the CSR
+  (:mod:`tests.oracles.selection`).
 """
 
+from .authority import auth
 from .compose import approximate_ranking, approximate_scores, compose
 from .pregel import pregel_scores
 from .ranking import ranked
+from .selection import top_by_degree
 
-__all__ = ["approximate_ranking", "approximate_scores", "compose",
-           "pregel_scores", "ranked"]
+__all__ = ["approximate_ranking", "approximate_scores", "auth", "compose",
+           "pregel_scores", "ranked", "top_by_degree"]
