@@ -189,29 +189,61 @@ class ScoreState:
         if column is None:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, np.zeros(0)
-        keep = column > 0.0
+        keep = np.ones(column.size, dtype=bool)
         for node in exclude:
             index = self._position.get(node)
             if index is not None:
                 keep[index] = False
-        positions = np.flatnonzero(keep)
-        values = column[positions]
-        if top_n is not None and 0 < top_n < positions.size:
-            # The n-th best value bounds the answer; every entry tied
-            # with it stays a candidate so the node-id tie-break below
-            # picks among all of them.
-            cut = positions.size - top_n
-            boundary = np.partition(values, cut)[cut]
-            candidates = values >= boundary
-            positions = positions[candidates]
-            values = values[candidates]
-        node_ids = self._node_ids
-        nodes = np.fromiter((node_ids[i] for i in positions.tolist()),
-                            dtype=np.int64, count=positions.size)
-        order = np.lexsort((nodes, -values))
-        if top_n is not None:
-            order = order[:top_n]
-        return nodes[order], positions[order], values[order]
+        return rank_dense(column, self._node_ids, keep, top_n)
+
+
+def rank_dense(column: np.ndarray, node_ids: Sequence[int],
+               keep: np.ndarray, top_n: Optional[int],
+               extras: Optional[Mapping[int, float]] = None,
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank a dense per-position score column: the one top-n kernel.
+
+    Every ranking in the package — :class:`ScoreState`, Algorithm-1
+    lists, Algorithm-2 answers on one machine, the sharded tier and the
+    partitioned service — comes from here. Positive entries with
+    ``keep[i]`` set rank by descending score, ties by ascending node
+    id. *node_ids* is read only for entries that survive the top-n cut.
+    *extras* (node → score of off-snapshot candidates) rank beside the
+    column under the same rule; no mask applies to them.
+
+    Returns:
+        ``(nodes, positions, values)`` in rank order; the ``k``-th
+        extra's position is ``-1 - k``.
+    """
+    positions = np.flatnonzero((column > 0.0) & keep)
+    values = column[positions]
+    extra_nodes: Sequence[int] = ()
+    if extras:
+        extra_nodes = list(extras)
+        extra_values = np.fromiter(extras.values(), dtype=np.float64,
+                                   count=len(extras))
+        positive = np.flatnonzero(extra_values > 0.0)
+        positions = np.concatenate((positions, -1 - positive))
+        values = np.concatenate((values, extra_values[positive]))
+    if top_n is not None and 0 < top_n < positions.size:
+        # The n-th best value bounds the answer; every entry tied with
+        # it stays a candidate so the node-id tie-break below picks
+        # among all of them.
+        cut = positions.size - top_n
+        boundary = np.partition(values, cut)[cut]
+        candidates = values >= boundary
+        positions = positions[candidates]
+        values = values[candidates]
+    nodes = np.fromiter(
+        (node_ids[i] if i >= 0 else extra_nodes[-1 - i]
+         for i in positions.tolist()),
+        dtype=np.int64, count=positions.size)
+    # lexsort's last key is primary: descending score (float negation
+    # is exact), then ascending node id.
+    order = np.lexsort((nodes, -values))
+    if top_n is not None:
+        order = order[:top_n]
+    return nodes[order], positions[order], values[order]
 
 
 def _column_dict(node_ids: Sequence[int],

@@ -18,12 +18,15 @@ import numpy as np
 from ..api import (RecommendationRequest, RecommendationResponse,
                    response_from_pairs)
 from ..config import LandmarkParams, ScoreParams
+from ..core.exact import rank_dense
 from ..core.scores import AuthorityIndex
 from ..graph.snapshot import GraphLike, GraphSnapshot, as_snapshot
 from ..landmarks.index import LandmarkIndex
 from ..landmarks.query_engine import (LandmarkVectorCache, LandmarkVectors,
                                       MessageStats, QueryEngine,
+                                      candidate_mask,
                                       compose_landmark_contributions,
+                                      dense_scores_to_dict,
                                       vectors_from_entries)
 from ..semantics.matrix import SimilarityMatrix
 from .cluster import distributed_single_source_scores
@@ -131,9 +134,18 @@ class DistributedLandmarkService:
             ConfigurationError: the assignment leaves a node of the
                 graph unassigned (checked once per snapshot).
         """
+        view = as_snapshot(self.graph, allow_stale=True)
+        _, dense, extras, cost = self._compose(view, user, topic, depth)
+        return dense_scores_to_dict(view, dense, extras), cost
+
+    def _compose(self, view: GraphSnapshot, user: int, topic: str,
+                 depth: Optional[int],
+                 ) -> Tuple[QueryEngine, np.ndarray, Dict[int, float],
+                            QueryCost]:
+        """Explore, compose, and account: the engine, ``(dense, extras)``
+        and the query's cost."""
         exploration_depth = (depth if depth is not None
                              else self.landmark_params.query_depth)
-        view = as_snapshot(self.graph, allow_stale=True)
         engine, partition = self._pinned_to(view)
         exploration, stats = distributed_single_source_scores(
             engine, partition, user, topic, max_depth=exploration_depth,
@@ -161,15 +173,15 @@ class DistributedLandmarkService:
                 remote += 1
                 entries_shipped += len(vectors)
             hits.append((float(exploration.scores[pos]), topo_ab, vectors))
-        combined = compose_landmark_contributions(
-            view, exploration.scores, hits, user)
+        dense, extras = compose_landmark_contributions(
+            exploration.scores, hits, user)
         cost = QueryCost(
             propagation=stats,
             remote_landmarks=remote,
             local_landmarks=local,
             entries_transferred=entries_shipped,
         )
-        return combined, cost
+        return engine, dense, extras, cost
 
     def recommend(self, user: int, topic: str, top_n: int = 10, *,
                   allow_stale: bool = False,
@@ -181,14 +193,13 @@ class DistributedLandmarkService:
         scores remain available on :meth:`scores_with_cost`.
         """
         view = as_snapshot(self.graph, allow_stale)
-        scores, cost = self.scores_with_cost(user, topic, depth=depth)
-        excluded = {user} | set(view.out_neighbors(user))
-        ranked = [(node, value) for node, value in scores.items()
-                  if node not in excluded and value > 0.0]
-        ranked.sort(key=lambda kv: (-kv[1], kv[0]))
+        engine, dense, extras, cost = self._compose(view, user, topic, depth)
+        nodes, _, values = rank_dense(dense, engine.node_ids_array,
+                                      candidate_mask(view, user), top_n,
+                                      extras)
         request = RecommendationRequest(
             user=user, topic=topic, top_n=top_n, allow_stale=allow_stale,
             depth=depth)
         return response_from_pairs(
-            request, ranked[:top_n], engine="distributed",
-            snapshot_epoch=view.epoch, cost=cost)
+            request, list(zip(nodes.tolist(), values.tolist())),
+            engine="distributed", snapshot_epoch=view.epoch, cost=cost)

@@ -25,12 +25,12 @@ Query execution is scatter-gather (:class:`ShardedPlatform.serve`):
 route the request to its home shard, explore the k-vicinity,
 fetch the lists of encountered remote landmarks over the channel,
 compose Proposition 4 with the same scatter-add as the single-machine
-:class:`~repro.landmarks.ApproximateRecommender`, and merge per-shard
-top-n partial rankings with :class:`~repro.utils.topk.TopK`. With all
-shards healthy the ranking is **bitwise-identical** to the
-single-machine recommender (parity-tested for 1, 2, and 7 shards):
-each shard's local top-n provably contains every one of its members of
-the global top-n, so the merged top-n equals the global top-n.
+:class:`~repro.landmarks.ApproximateRecommender` into one dense column
+(plus off-snapshot extras), mask the user, its followees and the
+position range of every lost shard, and rank with the package's one
+ranker, :func:`~repro.core.exact.rank_dense`. With all shards healthy
+the ranking is therefore **bitwise-identical** to the single-machine
+recommender (parity-tested for 1, 2, and 7 shards).
 
 Replication (:class:`ReplicaSet`) puts ``R`` identical
 :class:`ShardWorker` replicas behind every shard range. Replicas are
@@ -74,8 +74,8 @@ a seeded RNG and a virtual millisecond clock, never the wall clock):
   deadline exhausted mid-gather → the response degrades to what the
   healthy shards can answer and is flagged ``degraded=True``
   (exploration treats the lost shard's position range as absorbing,
-  its homed landmark lists are skipped, and its candidates drop out
-  of the merge);
+  its homed landmark lists are skipped, and its position range is
+  masked out of the ranking);
 - epoch mismatch — the pinned snapshot lagging its live graph with no
   rollover in progress, or any worker pinned to a different epoch than
   its generation — raises :class:`~repro.errors.StaleSnapshotError`
@@ -94,17 +94,18 @@ import numpy as np
 from ..api import (RecommendationRequest, RecommendationResponse,
                    response_from_pairs)
 from ..config import LandmarkParams, ScoreParams
+from ..core.exact import rank_dense
 from ..errors import (ChannelError, ConfigurationError, DeadlineExceededError,
                       ShardDownError, StaleSnapshotError)
 from ..graph.snapshot import GraphLike, GraphSnapshot, as_snapshot
 from ..landmarks.index import LandmarkEntry, LandmarkIndex
 from ..landmarks.query_engine import (DenseExploration, LandmarkVectorCache,
                                       LandmarkVectors, QueryEngine,
+                                      candidate_mask,
                                       compose_landmark_contributions,
                                       vectors_from_entries)
 from ..obs import runtime as _obs
 from ..semantics.matrix import SimilarityMatrix
-from ..utils.topk import TopK
 from .cluster import distributed_single_source_scores
 from .recommend import QueryCost
 
@@ -1150,10 +1151,10 @@ class ShardedPlatform:
                             epoch=generation.snapshot.epoch)
                 exploration, stats = self._explore(
                     generation, request, exploration_depth, down)
-                combined, cost_parts, degraded = self._compose(
+                composed, cost_parts, degraded = self._compose(
                     generation, request, exploration, home_id,
                     exploration_depth, clock, down, unreachable, degraded)
-                ranked = self._merge(generation, request, combined,
+                ranked = self._merge(generation, request, composed,
                                      down | unreachable)
                 hedged = self.channel.hedges_sent > hedges_before
                 if _sp:
@@ -1259,52 +1260,31 @@ class ShardedPlatform:
                     _obs.count("shard.remote_fetches_total")
                 hits.append((float(sigma_lm[i]), float(topo_ab_lm[i]),
                              vectors))
-            combined = compose_landmark_contributions(
-                generation.snapshot, exploration.scores, hits, user)
+            dense, extras = composed = compose_landmark_contributions(
+                exploration.scores, hits, user)
             if _sp:
                 _sp.set(local_landmarks=local, remote_landmarks=remote,
-                        entries=shipped, candidates=len(combined))
-        return combined, (local, remote, shipped), degraded
+                        entries=shipped,
+                        candidates=int(np.count_nonzero(dense)) + len(extras))
+        return composed, (local, remote, shipped), degraded
 
     def _merge(self, generation: _Generation,
-               request: RecommendationRequest, combined: Dict[int, float],
+               request: RecommendationRequest,
+               composed: Tuple[np.ndarray, Dict[int, float]],
                lost: Set[int]) -> List[Tuple[int, float]]:
-        """Merge per-shard top-n partial rankings into the final top-n.
-
-        Each healthy shard reduces its owned candidates to a local
-        top-n; the gather side merges the partials. A candidate in the
-        global top-n ranks at least as high among its own shard's
-        candidates, so every global winner survives its shard's cut —
-        the merged result equals the unsharded ranking bitwise.
-        Candidates owned by down or unreachable shards have no shard to
-        answer for them and drop out (the degraded path). The user's
-        followees are read from its snapshot row.
-        """
-        snapshot = generation.snapshot
-        position = snapshot.index_of(request.user)
-        followees = snapshot.out_indices[snapshot.out_indptr[position]:
-                                         snapshot.out_indptr[position + 1]]
-        node_ids = snapshot.node_ids
-        excluded = {request.user}
-        excluded.update(node_ids[j] for j in followees.tolist())
+        """Rank the composed column, masking the user, its followees
+        and every *lost* shard's range (no shard answers for those:
+        the degraded path). Off-snapshot extras belong to no shard."""
+        dense, extras = composed
         with _obs.span("shard.merge") as _sp:
-            partials: Dict[int, TopK] = {}
-            for node, value in combined.items():
-                if node in excluded or value <= 0.0:
-                    continue
-                owner = generation.router.shard_of(node)
-                if owner in lost:
-                    continue
-                per_shard = partials.get(owner)
-                if per_shard is None:
-                    per_shard = partials[owner] = TopK(request.top_n)
-                per_shard.set(node, value)
-            gathered: TopK = TopK(request.top_n)
-            for owner in sorted(partials):
-                for node, value in partials[owner].best():
-                    gathered.set(node, value)
-            ranked = gathered.best()
+            keep = candidate_mask(generation.snapshot, request.user)
+            for shard_id in lost:
+                spec = generation.router.specs[shard_id]
+                keep[spec.lo:spec.hi] = False
+            nodes, _, values = rank_dense(
+                dense, generation.engine.node_ids_array, keep,
+                request.top_n, extras)
+            ranked = list(zip(nodes.tolist(), values.tolist()))
             if _sp:
-                _sp.set(shards_answering=len(partials),
-                        returned=len(ranked))
+                _sp.set(returned=len(ranked))
         return ranked

@@ -34,10 +34,10 @@ compaction, passing the compacted snapshot as the propagation view.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
 from ..config import ScoreParams
-from ..landmarks.frontier import dirty_landmarks, refresh_landmarks
+from ..landmarks.frontier import dirty_landmarks
 from ..landmarks.index import LandmarkIndex
 from ..obs import runtime as _obs
 from ..semantics.matrix import SimilarityMatrix
@@ -149,32 +149,7 @@ class IncrementalMaintainer(_BaseMaintainer):
             if _sp:
                 _sp.set(pending=self._pending, frontier=len(self._frontier),
                         dirty=len(dirty), total=len(landmarks), full=full)
-            refreshed = refresh_landmarks(
-                self.index, graph, dirty, self.topics, self.similarity,
-                engine=self.engine)
-        if refreshed:
-            self._landmarks_rebuilt += refreshed
-            self._sources_propagated += refreshed
-            self._rebuild_rounds += 1
-            self.rebuilt_ever.update(dirty)
+            refreshed = self._refresh(graph, dirty)
         self._frontier.clear()
         self._pending = 0
         return refreshed
-
-    def rebuild(self, landmarks: Sequence[int]) -> None:
-        """Re-propagate *landmarks* via the engine-exact refresh path.
-
-        Overrides the dict-engine base implementation so that explicit
-        rebuilds stay bitwise-consistent with this maintainer's
-        flushes (same engine, same depth cap).
-        """
-        todo: List[int] = list(landmarks)
-        if not todo:
-            return
-        refreshed = refresh_landmarks(
-            self.index, self.graph, todo, self.topics, self.similarity,
-            engine=self.engine)
-        self._landmarks_rebuilt += refreshed
-        self._sources_propagated += refreshed
-        self._rebuild_rounds += 1
-        self.rebuilt_ever.update(todo)

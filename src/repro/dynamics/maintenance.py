@@ -32,10 +32,10 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from ..api import MaintenanceStats
 from ..config import ScoreParams
-from ..core.exact import single_source_scores
 from ..errors import ConfigurationError
 from ..eval.metrics import kendall_tau_distance
 from ..graph.labeled_graph import LabeledSocialGraph
+from ..landmarks.frontier import landmark_entries, refresh_landmarks
 from ..landmarks.index import LandmarkIndex
 from .events import EdgeEvent
 
@@ -51,6 +51,10 @@ __all__ = [
 
 class _BaseMaintainer:
     """Shared rebuild machinery; subclasses decide *when* to rebuild."""
+
+    #: Refresh engine override; ``None`` rebuilds with the engine that
+    #: built the index.
+    engine: Optional[str] = None
 
     def __init__(self, graph: LabeledSocialGraph, index: LandmarkIndex,
                  topics: Sequence[str], similarity,
@@ -96,23 +100,23 @@ class _BaseMaintainer:
         return touched
 
     def rebuild(self, landmarks: Sequence[int]) -> None:
-        """Re-run Algorithm 1 for *landmarks* and refresh the lists."""
-        if not landmarks:
-            return
-        for landmark in landmarks:
-            state = single_source_scores(
-                self.graph, landmark, self.topics, self.similarity,
-                params=self.params)
-            per_topic = LandmarkIndex._entries_for(
-                state, landmark, self.topics,
-                self.index.landmark_params.top_n)
-            for topic, entries in per_topic.items():
-                self.index.set_recommendations(landmark, topic, entries)
-            self._landmarks_rebuilt += 1
-            self._sources_propagated += 1
-            self.rebuilt_ever.add(landmark)
-        self._rebuild_rounds += 1
-        self._rebuild_watch_index()
+        """Re-run Algorithm 1 for *landmarks* and refresh the lists,
+        bitwise as a fresh :meth:`LandmarkIndex.build` would store them
+        (:func:`~repro.landmarks.frontier.refresh_landmarks`)."""
+        if self._refresh(self.graph, landmarks):
+            self._rebuild_watch_index()
+
+    def _refresh(self, graph, landmarks: Sequence[int]) -> int:
+        """Re-propagate *landmarks* over *graph*; count the work."""
+        refreshed = refresh_landmarks(self.index, graph, landmarks,
+                                      self.topics, self.similarity,
+                                      engine=self.engine)
+        if refreshed:
+            self._landmarks_rebuilt += refreshed
+            self._sources_propagated += refreshed
+            self._rebuild_rounds += 1
+            self.rebuilt_ever.update(landmarks)
+        return refreshed
 
     def on_event(self, event: EdgeEvent) -> None:
         raise NotImplementedError
@@ -234,19 +238,18 @@ def measure_staleness(
 ) -> float:
     """Mean Kendall tau between stored and freshly recomputed lists.
 
-    0 means the index still matches the current graph exactly; values
-    grow as churn invalidates the precomputation.
+    The fresh lists come from the build's own propagation
+    (:func:`~repro.landmarks.frontier.landmark_entries`), so 0 means
+    the index still matches the current graph exactly; values grow as
+    churn invalidates the precomputation.
     """
-    params = params if params is not None else index.params
     landmarks = list(sample) if sample is not None else list(index.landmarks)
     distances: List[float] = []
-    for landmark in landmarks:
+    for landmark, per_topic in landmark_entries(
+            index, graph, landmarks, [topic], similarity, params=params):
         stored = [entry.node
                   for entry in index.recommendations(landmark, topic)][:top_k]
-        state = single_source_scores(graph, landmark, [topic], similarity,
-                                     params=params)
-        fresh = [node for node, _ in state.ranked(topic, top_n=top_k,
-                                                  exclude=(landmark,))]
+        fresh = [entry.node for entry in per_topic[topic]][:top_k]
         distances.append(kendall_tau_distance(stored, fresh))
     if not distances:
         return 0.0

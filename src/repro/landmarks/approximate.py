@@ -26,7 +26,7 @@ import numpy as np
 from ..api import (RecommendationRequest, RecommendationResponse,
                    response_from_pairs)
 from ..config import LandmarkParams, ScoreParams
-from ..core.exact import ScoreState, _MaxSimCache
+from ..core.exact import ScoreState, _MaxSimCache, rank_dense
 from ..core.scores import AuthorityIndex
 from ..graph.snapshot import GraphLike, GraphSnapshot, as_snapshot
 from ..obs import runtime as _obs
@@ -34,9 +34,9 @@ from ..semantics.matrix import SimilarityMatrix
 from .index import LandmarkIndex
 from .query_engine import (DenseExploration, LandmarkVectorCache,
                            LandmarkVectors, QueryEngine,
-                           StackedLandmarkLists, compose_stacked,
-                           dense_scores_to_dict, stack_landmark_vectors,
-                           vectors_from_entries)
+                           StackedLandmarkLists, candidate_mask,
+                           compose_stacked, dense_scores_to_dict,
+                           stack_landmark_vectors, vectors_from_entries)
 
 
 @dataclass
@@ -57,11 +57,13 @@ class ApproximateResult:
     def ranked(self, top_n: Optional[int] = None,
                exclude: Iterable[int] = ()) -> List[Tuple[int, float]]:
         """Descending-score ranking, ties broken by node id."""
-        excluded = set(exclude)
-        entries = [(node, value) for node, value in self.scores.items()
-                   if node not in excluded and value > 0.0]
-        entries.sort(key=lambda kv: (-kv[1], kv[0]))
-        return entries[:top_n] if top_n is not None else entries
+        count = len(self.scores)
+        nodes = np.fromiter(self.scores, dtype=np.int64, count=count)
+        values = np.fromiter(self.scores.values(), dtype=np.float64,
+                             count=count)
+        keep = ~np.isin(nodes, np.fromiter(set(exclude), dtype=np.int64))
+        nodes, _, values = rank_dense(values, nodes, keep, top_n)
+        return list(zip(nodes.tolist(), values.tolist()))
 
 
 class ApproximateRecommender:
@@ -174,11 +176,8 @@ class ApproximateRecommender:
         view = self._resolve(allow_stale=effective_stale)
         dense, combined_dense, extra_scores, encountered = (
             self._query_core(view, user, topic, exploration_depth))
-        combined = dense_scores_to_dict(view, combined_dense)
-        for node, value in extra_scores.items():
-            combined[node] = value
         return ApproximateResult(
-            scores=combined,
+            scores=dense_scores_to_dict(view, combined_dense, extra_scores),
             landmarks_encountered=tuple(encountered),
             exploration=dense.to_state(view, topic),
         )
@@ -255,45 +254,6 @@ class ApproximateRecommender:
             _obs.observe("approx.query_seconds", _sp.elapsed)
         return dense, combined_dense, extra_scores, encountered
 
-    def _rank_dense(
-        self, view: GraphSnapshot, engine: QueryEngine,
-        combined_dense: np.ndarray, extra_scores: Dict[int, float],
-        user: int, top_n: Optional[int], exclude_followed: bool,
-    ) -> List[Tuple[int, float]]:
-        """Array-side ranking, identical to :meth:`ApproximateResult.ranked`.
-
-        ``np.lexsort`` with keys ``(node, -score)`` sorts by descending
-        score with ties broken by ascending node id — the reference
-        sort key ``(-score, node)`` exactly (float negation is exact).
-        """
-        mask = combined_dense > 0.0
-        position = view.position
-        pos = position.get(user)
-        if pos is not None:
-            mask[pos] = False
-        if exclude_followed:
-            for neighbor in view.out_neighbors(user):
-                npos = position.get(neighbor)
-                if npos is not None:
-                    mask[npos] = False
-        candidate_positions = np.nonzero(mask)[0]
-        nodes = engine.node_ids_array[candidate_positions]
-        scores = combined_dense[candidate_positions]
-        if extra_scores:
-            # Off-snapshot nodes can never be the user or a followee
-            # (both live in the snapshot), so only the >0 filter —
-            # already guaranteed by the compose side-channel — applies.
-            nodes = np.concatenate(
-                (nodes, np.fromiter(extra_scores.keys(), dtype=np.int64,
-                                    count=len(extra_scores))))
-            scores = np.concatenate(
-                (scores, np.fromiter(extra_scores.values(), dtype=np.float64,
-                                     count=len(extra_scores))))
-        order = np.lexsort((nodes, -scores))
-        if top_n is not None:
-            order = order[:top_n]
-        return [(int(nodes[i]), float(scores[i])) for i in order]
-
     def recommend(self, user: int, topic: str, top_n: int = 10, *,
                   allow_stale: Optional[bool] = None,
                   depth: Optional[int] = None,
@@ -317,9 +277,11 @@ class ApproximateRecommender:
             _, combined_dense, extra_scores, _ = self._query_core(
                 view, user, topic, exploration_depth)
             with _obs.span("approx.rank") as _rank:
-                ranked = self._rank_dense(
-                    view, self._engine_for(view), combined_dense,
-                    extra_scores, user, top_n, exclude_followed)
+                nodes, _, values = rank_dense(
+                    combined_dense, self._engine_for(view).node_ids_array,
+                    candidate_mask(view, user, exclude_followed), top_n,
+                    extra_scores)
+                ranked = list(zip(nodes.tolist(), values.tolist()))
                 if _rank:
                     _rank.set(
                         candidates=(int(np.count_nonzero(combined_dense))

@@ -21,10 +21,10 @@ in-edges — horizon levels over the post-event graph — instead of one
 forward BFS per landmark.
 
 :func:`refresh_landmarks` then re-runs exactly the
-:meth:`LandmarkIndex.build` propagation for those landmarks (same
-engine, same ``max_depth``, same tie-breaks), so the refreshed lists
-are bitwise-identical to a from-scratch rebuild — asserted by
-``tests/dynamics/test_incremental.py``.
+:meth:`LandmarkIndex.build` propagation (:func:`landmark_entries`:
+same engine, ``max_depth`` and tie-breaks) for those landmarks, so the
+refreshed lists are bitwise-identical to a from-scratch rebuild —
+asserted by ``tests/dynamics/test_incremental.py``.
 
 One global hazard remains: the authority normaliser
 ``log1p(max_followers_on(t))`` is a *graph-wide* maximum. If churn
@@ -35,15 +35,16 @@ maintainer) detect that and fall back to a full refresh.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
-from ..config import EngineParams
+from ..config import EngineParams, ScoreParams
 from ..core.exact import _MaxSimCache, single_source_scores
 from ..core.fast import SparseEngine, resolve_engine
 from ..core.scores import AuthorityIndex
 from ..obs import runtime as _obs
 from ..semantics.matrix import SimilarityMatrix
-from .index import LandmarkIndex
+from .index import LandmarkEntry, LandmarkIndex
 
 
 def dirty_landmarks(
@@ -101,12 +102,11 @@ def refresh_landmarks(
 ) -> int:
     """Re-run the :meth:`LandmarkIndex.build` propagation for a subset.
 
-    Mirrors the build path exactly — same engine resolution, same
-    ``max_depth=landmark_params.precompute_depth`` cap, same ranking
-    tie-breaks — so the refreshed lists are bitwise-identical to what a
-    from-scratch build over *graph* would store for these landmarks.
-    Lists are installed via :meth:`LandmarkIndex.set_recommendations`
-    so version counters bump and cached vectorised views invalidate.
+    The lists come from :func:`landmark_entries`, so they are
+    bitwise-identical to what a from-scratch build over *graph* would
+    store for these landmarks. They are installed via
+    :meth:`LandmarkIndex.set_recommendations` so version counters bump
+    and cached vectorised views invalidate.
 
     Args:
         index: The index to refresh in place.
@@ -129,37 +129,57 @@ def refresh_landmarks(
         return 0
     resolved = resolve_engine(engine if engine is not None
                               else index.engine_used or "auto")
-    max_depth = index.landmark_params.precompute_depth
-    top_n = index.landmark_params.top_n
-    topic_list = list(topics)
-
     with _obs.span("landmarks.refresh") as _sp:
         if _sp:
             _sp.set(landmarks=len(todo), engine=resolved)
-        if resolved == "sparse":
-            sparse = SparseEngine(graph, similarity, index.params,
-                                  authority=authority)
-            block_size = batch_size if batch_size is not None \
-                else EngineParams().batch_size
-            for start in range(0, len(todo), block_size):
-                block = todo[start:start + block_size]
-                states = sparse.multi_source(block, topic_list,
-                                             max_depth=max_depth)
-                for landmark, state in zip(block, states):
-                    per_topic = LandmarkIndex._entries_for(
-                        state, landmark, topic_list, top_n)
-                    for topic, entries in per_topic.items():
-                        index.set_recommendations(landmark, topic, entries)
-        else:
-            sim_cache = _MaxSimCache(similarity)
-            for landmark in todo:
-                state = single_source_scores(
-                    graph, landmark, topic_list, similarity,
-                    authority=authority, params=index.params,
-                    max_depth=max_depth, sim_cache=sim_cache)
-                per_topic = LandmarkIndex._entries_for(
-                    state, landmark, topic_list, top_n)
-                for topic, entries in per_topic.items():
-                    index.set_recommendations(landmark, topic, entries)
+        for landmark, per_topic in landmark_entries(
+                index, graph, todo, topics, similarity, authority=authority,
+                engine=resolved, batch_size=batch_size):
+            for topic, entries in per_topic.items():
+                index.set_recommendations(landmark, topic, entries)
     _obs.count("landmarks.refreshed_total", len(todo))
     return len(todo)
+
+
+def landmark_entries(
+    index: LandmarkIndex,
+    graph,
+    landmarks: Sequence[int],
+    topics: Sequence[str],
+    similarity: SimilarityMatrix,
+    *,
+    params: Optional[ScoreParams] = None,
+    authority: Optional[AuthorityIndex] = None,
+    engine: Optional[str] = None,
+    batch_size: Optional[int] = None,
+) -> Iterator[Tuple[int, Dict[str, List[LandmarkEntry]]]]:
+    """``(landmark, topic → list)`` exactly as :meth:`LandmarkIndex.build`
+    makes them: same engine resolution, ``precompute_depth`` cap and
+    tie-breaks. *params* defaults to the index's; the other arguments
+    are :func:`refresh_landmarks`'s."""
+    resolved = resolve_engine(engine if engine is not None
+                              else index.engine_used or "auto")
+    params = params if params is not None else index.params
+    max_depth = index.landmark_params.precompute_depth
+    top_n = index.landmark_params.top_n
+    topic_list = list(topics)
+    if resolved == "sparse":
+        sparse = SparseEngine(graph, similarity, params, authority=authority)
+        block_size = (batch_size if batch_size is not None
+                      else EngineParams().batch_size)
+        for start in range(0, len(landmarks), block_size):
+            block = list(landmarks[start:start + block_size])
+            states = sparse.multi_source(block, topic_list,
+                                         max_depth=max_depth)
+            for landmark, state in zip(block, states):
+                yield landmark, LandmarkIndex._entries_for(
+                    state, landmark, topic_list, top_n)
+    else:
+        sim_cache = _MaxSimCache(similarity)
+        for landmark in landmarks:
+            state = single_source_scores(
+                graph, landmark, topic_list, similarity,
+                authority=authority, params=params, max_depth=max_depth,
+                sim_cache=sim_cache)
+            yield landmark, LandmarkIndex._entries_for(
+                state, landmark, topic_list, top_n)

@@ -61,7 +61,8 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -82,6 +83,7 @@ __all__ = [
     "MessageStats",
     "StackedLandmarkLists",
     "QueryEngine",
+    "candidate_mask",
     "compose_landmark_contributions",
     "compose_stacked",
     "dense_scores_to_dict",
@@ -359,9 +361,8 @@ def compose_stacked(
             hit_mask[j] = False
 
     combined = dense_scores.copy()
-    extra_scores: Dict[int, float] = {}
     if not hit_mask.any():
-        return combined, extra_scores, []
+        return combined, {}, []
 
     sigma_lm = dense_scores[lm_positions]
     counts = stacked.counts
@@ -394,19 +395,9 @@ def compose_stacked(
         contribution = np.where(entry_nodes == user, 0.0, contribution)
         np.add.at(combined, entry_positions, contribution)
 
-    for slice_index, entries in stacked.extras:
-        if not hit_mask[slice_index]:
-            continue
-        sigma = float(sigma_lm[slice_index])
-        topo_ab = float(topo_ab_lm[slice_index])
-        for entry in entries:
-            if entry.node == user:
-                continue
-            extra = sigma * entry.topo + topo_ab * entry.score
-            if extra:
-                extra_scores[entry.node] = (
-                    extra_scores.get(entry.node, 0.0) + extra)
-
+    extra_scores = _compose_extras(
+        ((float(sigma_lm[i]), float(topo_ab_lm[i]), entries)
+         for i, entries in stacked.extras if hit_mask[i]), user)
     encountered = [int(x) for x in stacked.landmark_ids[hit_mask]]
     return combined, extra_scores, encountered
 
@@ -416,15 +407,13 @@ def compose_stacked(
 # ----------------------------------------------------------------------
 
 def compose_landmark_contributions(
-    snapshot: GraphSnapshot,
     base: np.ndarray,
     hits: Sequence[Tuple[float, float, LandmarkVectors]],
     user: int,
-) -> Dict[int, float]:
+) -> Tuple[np.ndarray, Dict[int, float]]:
     """Proposition-4 composition as one concatenated scatter-add.
 
     Args:
-        snapshot: The serving snapshot (supplies the dense index).
         base: The directly-explored scores ``σ(u,·,t)`` per dense
             position (the exploration output); copied, never mutated.
         hits: ``(σ(u,λ,t), topo_{αβ}(u,λ), vectors)`` per encountered
@@ -438,40 +427,63 @@ def compose_landmark_contributions(
             sums, where the dict path skips them).
 
     Returns:
-        Node → combined score, positive entries only — the same mapping
-        the dict compose loop builds.
+        ``(combined, extras)``: the combined score per dense position
+        and the off-snapshot side channel, as :func:`compose_stacked`.
     """
     dense = base.copy()
     position_chunks: List[np.ndarray] = []
     value_chunks: List[np.ndarray] = []
-    extra_scores: Dict[int, float] = {}
     for sigma, topo_ab, vectors in hits:
         contribution = sigma * vectors.topo + topo_ab * vectors.score
         if vectors.nodes.size:
             contribution = np.where(vectors.nodes == user, 0.0, contribution)
             position_chunks.append(vectors.positions)
             value_chunks.append(contribution)
-        for entry in vectors.extras:
+    if position_chunks:
+        np.add.at(dense, np.concatenate(position_chunks),
+                  np.concatenate(value_chunks))
+    return dense, _compose_extras(
+        ((sigma, topo_ab, vectors.extras) for sigma, topo_ab, vectors in hits),
+        user)
+
+
+def _compose_extras(
+    hits: Iterable[Tuple[float, float, Sequence[LandmarkEntry]]], user: int,
+) -> Dict[int, float]:
+    """Proposition 4 for the off-snapshot entries of the hit lists."""
+    extra_scores: Dict[int, float] = {}
+    for sigma, topo_ab, entries in hits:
+        for entry in entries:
             if entry.node == user:
                 continue
             extra = sigma * entry.topo + topo_ab * entry.score
             if extra:
                 extra_scores[entry.node] = (
                     extra_scores.get(entry.node, 0.0) + extra)
-    if position_chunks:
-        np.add.at(dense, np.concatenate(position_chunks),
-                  np.concatenate(value_chunks))
+    return extra_scores
 
-    combined = dense_scores_to_dict(snapshot, dense)
-    for node, value in extra_scores.items():
-        combined[node] = value
+
+def dense_scores_to_dict(snapshot: GraphSnapshot, dense: np.ndarray,
+                         extras: Mapping[int, float]) -> Dict[int, float]:
+    """Node → score of a composed answer's nonzero entries — only for
+    the public APIs that hand out a dict; ranking reads the column."""
+    combined = _column_dict(snapshot.node_ids, dense)
+    combined.update(extras)
     return combined
 
 
-def dense_scores_to_dict(snapshot: GraphSnapshot,
-                         dense: np.ndarray) -> Dict[int, float]:
-    """Sparse node → score mapping of a dense per-position array."""
-    return _column_dict(snapshot.node_ids, dense)
+def candidate_mask(snapshot: GraphSnapshot, user: int,
+                   exclude_followed: bool = True) -> np.ndarray:
+    """Keep-mask for :func:`~repro.core.exact.rank_dense`: every
+    position but *user* and (optionally) its followees' CSR row."""
+    keep = np.ones(len(snapshot), dtype=bool)
+    position = snapshot.position.get(user)
+    if position is not None:
+        keep[position] = False
+        if exclude_followed:
+            keep[snapshot.out_indices[snapshot.out_indptr[position]:
+                                      snapshot.out_indptr[position + 1]]] = False
+    return keep
 
 
 # ----------------------------------------------------------------------

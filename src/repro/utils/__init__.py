@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG helpers, varint codec, top-k.
+"""Shared utilities: deterministic RNG helpers and the varint codec.
 
 Timing primitives (``Stopwatch``, ``format_duration``) live in
 :mod:`repro.obs.clock`; the ``repro.utils.timers`` shim that used to
@@ -7,7 +7,6 @@ re-export them here has been removed.
 
 from .rng import rng_from_seed, spawn_rng
 from .varint import decode_uvarint, decode_uvarint_list, encode_uvarint, encode_uvarint_list
-from .topk import TopK
 
 __all__ = [
     "rng_from_seed",
@@ -16,5 +15,4 @@ __all__ = [
     "decode_uvarint",
     "encode_uvarint_list",
     "decode_uvarint_list",
-    "TopK",
 ]

@@ -186,12 +186,36 @@ class TestTTLMaintainer:
                           ttl_events=0)
 
 
+def _depth_capped_world(web_sim, depth):
+    graph = generate_twitter_graph(200, seed=55)
+    landmarks = select_landmarks(graph, "In-Deg", 10, rng=1)
+    index = LandmarkIndex.build(
+        graph, landmarks, [TOPIC], web_sim, params=PARAMS,
+        landmark_params=LandmarkParams(num_landmarks=10, top_n=50,
+                                       precompute_depth=depth))
+    return graph, index
+
+
+def _assert_lists_bitwise_equal(index, scratch):
+    for landmark in index.landmarks:
+        maintained = index.recommendations(landmark, TOPIC)
+        rebuilt = scratch.recommendations(landmark, TOPIC)
+        assert len(maintained) == len(rebuilt)
+        for ours, theirs in zip(maintained, rebuilt):
+            assert ours.node == theirs.node
+            assert ours.score == theirs.score
+            assert ours.topo == theirs.topo
+            assert ours.topo_ab == theirs.topo_ab
+
+
 class TestRebuildCorrectness:
-    def test_full_rebuild_matches_fresh_build(self, world, web_sim):
-        """A rebuild of every landmark on the mutated graph must equal
-        an index built from scratch on it — the rebuild mechanics are
-        exact even though the *trigger* is heuristic."""
-        graph, index = world
+    @pytest.mark.parametrize("depth", [2, 20])
+    def test_full_rebuild_matches_fresh_build(self, web_sim, depth):
+        """A rebuild of every landmark on the mutated graph equals an
+        index built from scratch on it, bitwise and at the index's
+        depth cap — the rebuild mechanics are exact even though the
+        *trigger* is heuristic."""
+        graph, index = _depth_capped_world(web_sim, depth)
         maintainer = EagerMaintainer(graph, index, [TOPIC], web_sim, PARAMS)
         stream = GraphStream(graph)
         stream.subscribe(maintainer.on_event)
@@ -201,17 +225,12 @@ class TestRebuildCorrectness:
         scratch = LandmarkIndex.build(
             graph, list(index.landmarks), [TOPIC], web_sim, params=PARAMS,
             landmark_params=index.landmark_params)
-        for landmark in index.landmarks:
-            maintained = index.recommendations(landmark, TOPIC)
-            rebuilt = scratch.recommendations(landmark, TOPIC)
-            assert [e.node for e in maintained] == [e.node for e in rebuilt]
-            for ours, theirs in zip(maintained, rebuilt):
-                assert ours.score == pytest.approx(theirs.score)
+        _assert_lists_bitwise_equal(index, scratch)
 
-    def test_rebuild_bitwise_matches_fresh_dict_build(self, world, web_sim):
+    def test_rebuild_bitwise_matches_fresh_build(self, world, web_sim):
         """Entries written by ``rebuild`` are bitwise-identical to a
-        fresh dict-engine build — same propagation, same accumulation
-        order, byte-for-byte the same floats."""
+        fresh build with the index's own engine — same propagation,
+        same accumulation order, byte-for-byte the same floats."""
         graph, index = world
         maintainer = NoOpMaintainer(graph, index, [TOPIC], web_sim, PARAMS)
         stream = GraphStream(graph)
@@ -220,13 +239,32 @@ class TestRebuildCorrectness:
         maintainer.rebuild(sorted(index.landmarks))
         scratch = LandmarkIndex.build(
             graph, list(index.landmarks), [TOPIC], web_sim, params=PARAMS,
-            landmark_params=index.landmark_params, engine="dict")
-        for landmark in index.landmarks:
-            maintained = index.recommendations(landmark, TOPIC)
-            rebuilt = scratch.recommendations(landmark, TOPIC)
-            assert len(maintained) == len(rebuilt)
-            for ours, theirs in zip(maintained, rebuilt):
-                assert ours.node == theirs.node
-                assert ours.score == theirs.score
-                assert ours.topo == theirs.topo
-                assert ours.topo_ab == theirs.topo_ab
+            landmark_params=index.landmark_params)
+        _assert_lists_bitwise_equal(index, scratch)
+
+    @pytest.mark.parametrize("depth", [2, 20])
+    def test_rebuild_without_churn_is_a_no_op(self, web_sim, depth):
+        graph, index = _depth_capped_world(web_sim, depth)
+        before = LandmarkIndex.build(
+            graph, list(index.landmarks), [TOPIC], web_sim, params=PARAMS,
+            landmark_params=index.landmark_params)
+        NoOpMaintainer(graph, index, [TOPIC], web_sim, PARAMS).rebuild(
+            sorted(index.landmarks))
+        _assert_lists_bitwise_equal(index, before)
+
+
+class TestStaleness:
+    @pytest.mark.parametrize("depth", [2, 20])
+    def test_fresh_index_measures_exactly_zero(self, web_sim, depth):
+        graph, index = _depth_capped_world(web_sim, depth)
+        assert measure_staleness(graph, index, TOPIC, web_sim, PARAMS) == 0.0
+
+    def test_dict_engine_index_measures_exactly_zero(self, web_sim):
+        graph = generate_twitter_graph(200, seed=55)
+        landmarks = select_landmarks(graph, "In-Deg", 10, rng=1)
+        index = LandmarkIndex.build(
+            graph, landmarks, [TOPIC], web_sim, params=PARAMS,
+            landmark_params=LandmarkParams(num_landmarks=10, top_n=50,
+                                           precompute_depth=2),
+            engine="dict")
+        assert measure_staleness(graph, index, TOPIC, web_sim, PARAMS) == 0.0

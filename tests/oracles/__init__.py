@@ -20,7 +20,11 @@ second implementations they are checked against, bit for bit:
   (:mod:`tests.oracles.authority`);
 - :func:`top_by_degree` — the key-function sort that degree-ranked
   landmark selection replaces with a ``lexsort`` over the CSR
-  (:mod:`tests.oracles.selection`).
+  (:mod:`tests.oracles.selection`);
+- :class:`TopK` / :func:`merge_shard_partials` — the per-shard top-n
+  merge that the sharded tier's one masked
+  :func:`~repro.core.exact.rank_dense` must equal
+  (:mod:`tests.oracles.topk`).
 """
 
 from .authority import auth
@@ -28,6 +32,8 @@ from .compose import approximate_ranking, approximate_scores, compose
 from .pregel import pregel_scores
 from .ranking import ranked
 from .selection import top_by_degree
+from .topk import TopK, merge_shard_partials
 
-__all__ = ["approximate_ranking", "approximate_scores", "auth", "compose",
-           "pregel_scores", "ranked", "top_by_degree"]
+__all__ = ["TopK", "approximate_ranking", "approximate_scores", "auth",
+           "compose", "merge_shard_partials", "pregel_scores", "ranked",
+           "top_by_degree"]

